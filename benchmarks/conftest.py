@@ -14,6 +14,7 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.experiments import ExperimentConfig
+from repro.worlds import WorldSampler
 
 #: Scaled budget used by every figure benchmark.  The paper's settings
 #: are N=20 000 direct/sampling trials and 100 preparing trials; the
@@ -58,3 +59,14 @@ def bench_datasets():
         name: load_dataset(name, "bench", rng=0)
         for name in BENCH_CONFIG.datasets
     }
+
+
+def weight_ordered_worlds(graph, n_worlds, seed):
+    """``n_worlds`` sampled worlds as weight-descending present-edge
+    arrays — the input of OS's per-world search
+    (:func:`repro.butterfly.max_weight_butterflies`), which the
+    ablations below run directly because OS itself runs the wedge
+    kernel."""
+    sampler = WorldSampler(graph, seed)
+    order = graph.edges_by_weight_desc
+    return [order[sampler.sample_mask()[order]] for _ in range(n_worlds)]

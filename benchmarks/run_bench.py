@@ -90,10 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--block-size", type=int, default=None, metavar="N",
-        help="also benchmark each method through the batched kernel "
-             "layer with N trials per block, as a scalar-vs-batched "
-             "comparison entry (method suffixed '-batched'; see "
-             "docs/performance.md)",
+        help="also benchmark each method at N trials per kernel "
+             "block (method suffixed '-batched'): the scalar-vs-batched "
+             "comparison for ols/ols-kl; mc-vp/os always run the wedge "
+             "kernel, so for them it compares N with the default block "
+             "(see docs/performance.md)",
     )
     parser.add_argument(
         "--adaptive", action="store_true",

@@ -8,15 +8,15 @@ Karp-Luby at equal trial counts.
 
 import pytest
 
+from repro.butterfly import max_weight_butterflies
 from repro.core import (
     estimate_probabilities_karp_luby,
     estimate_probabilities_optimized,
-    ordering_sampling,
     prepare_candidates,
 )
 from repro.experiments import run_experiment
 
-from .conftest import BENCH_CONFIG, SWEEP_CONFIG
+from .conftest import SWEEP_CONFIG, weight_ordered_worlds
 
 
 def test_prune_ablation_report(benchmark, capsys):
@@ -37,8 +37,12 @@ def test_prune_ablation_report(benchmark, capsys):
 @pytest.mark.parametrize("prune", [True, False])
 def test_os_prune_onoff(benchmark, bench_datasets, prune):
     graph = bench_datasets["movielens"]
+    worlds = weight_ordered_worlds(graph, 30, seed=1)
     benchmark.pedantic(
-        lambda: ordering_sampling(graph, 30, rng=1, prune=prune),
+        lambda: [
+            max_weight_butterflies(graph, world, prune=prune)
+            for world in worlds
+        ],
         rounds=2, iterations=1,
     )
 
@@ -70,14 +74,19 @@ def test_pair_side_choice_matters(bench_datasets):
     """The Lemma V.1 'auto' side selection picks the cheaper partition
     on the lopsided jester network."""
     graph = bench_datasets["jester"]
-    cheap = ordering_sampling(graph, 20, rng=2, pair_side="auto")
+    worlds = weight_ordered_worlds(graph, 20, seed=2)
+
+    def angles(pair_side):
+        return sum(
+            max_weight_butterflies(
+                graph, world, pair_side=pair_side
+            ).n_angles_processed
+            for world in worlds
+        )
+
     # jester: 30 jokes x 1000 users; middles on the joke side are huge,
     # so pairing on the user side (middles = jokes) is the expensive way.
-    users_mid = ordering_sampling(graph, 20, rng=2, pair_side="right")
-    assert (
-        cheap.stats["angles_processed"]
-        <= users_mid.stats["angles_processed"]
-    )
+    assert angles("auto") <= angles("right")
 
 
 def test_backbone_seeding_caps_lemma_vi5_error():

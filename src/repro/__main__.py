@@ -33,6 +33,7 @@ from .core.results import MPMBResult
 from .datasets import dataset_names, load_dataset
 from .experiments.report import format_seconds, format_table
 from .graph import UncertainBipartiteGraph, compute_stats, load_graph
+from .kernels import DEFAULT_BLOCK_SIZE
 from .observability import Observer, ensure_observer
 from .observability.profiling import maybe_cprofile
 from .runtime import POOLABLE_METHODS, RuntimePolicy, run_parallel_trials
@@ -90,9 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--block-size", type=int, default=None, metavar="N",
-        help="evaluate trials through the batched kernel layer, N "
-             "trials per vectorised call (sampling methods only; "
-             "default: scalar per-trial loop; see docs/performance.md)",
+        help="trials per vectorised kernel call (sampling methods "
+             f"only; default: {DEFAULT_BLOCK_SIZE} for mc-vp/os, whose "
+             "results do not depend on N, and the scalar per-trial loop "
+             "for ols/ols-kl; see docs/performance.md)",
     )
     search.add_argument(
         "--top", type=int, default=1, help="how many MPMBs to report"

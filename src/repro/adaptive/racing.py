@@ -4,7 +4,7 @@ Two schedulers share the empirical-Bernstein machinery of
 :mod:`~repro.adaptive.intervals`:
 
 - :class:`RacingFrequencyLoop` wraps the frequency-method loops (MC-VP,
-  OS, and OLS's optimised estimator — scalar and blocked alike) and
+  OS, and OLS's optimised estimator, scalar or blocked) and
   stops the whole run as soon as the incumbent butterfly's lower
   confidence limit clears every rival's upper limit.  Frequency trials
   are shared by all arms, so "racing" degenerates to certified early
@@ -81,9 +81,9 @@ class AdaptiveConfig:
             confidence level as the fixed-budget run it replaces.
         block_trials: Karp-Luby trials handed to each surviving
             candidate per racing round.
-        check_every: Trials between stop-rule evaluations on the
-            frequency methods' scalar paths (blocked paths check at
-            every block boundary).
+        check_every: Trials between stop-rule evaluations on OLS's
+            scalar optimised-estimator path; blocked loops (MC-VP and
+            OS always) check at every block boundary instead.
         min_trials: Trials required before the first frequency-method
             stop-rule evaluation may fire.
         prescreen: Run the sublinear wedge-pair pre-screen before

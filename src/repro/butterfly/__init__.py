@@ -4,6 +4,8 @@
 * :func:`count_butterflies`, :func:`enumerate_butterflies` — BFC-VP [50].
 * :func:`max_weight_butterflies` — the Section V weight-ordered search
   with the A1/A2 angle index (the per-trial core of Ordering Sampling).
+* :func:`max_weight_butterflies_enumerated` — Algorithm 1's
+  enumerate-everything per-world search (the MC-VP baseline).
 * :func:`brute_force_butterflies` — quadratic reference oracle.
 """
 
@@ -12,6 +14,7 @@ from .bfc_vp import (
     count_butterflies,
     enumerate_butterflies,
     global_adjacency,
+    max_weight_butterflies_enumerated,
     world_global_adjacency,
 )
 from .max_weight import (
@@ -43,6 +46,7 @@ __all__ = [
     "MaxButterflySearch",
     "TopTwoAngleIndex",
     "max_weight_butterflies",
+    "max_weight_butterflies_enumerated",
     "top_weight_butterflies",
     "most_probable_butterflies",
     "most_probable_butterfly",

@@ -42,12 +42,17 @@ def global_adjacency(graph: UncertainBipartiteGraph) -> GlobalAdjacency:
 
 def world_global_adjacency(world: PossibleWorld) -> GlobalAdjacency:
     """World-restricted adjacency over global vertex ids."""
-    graph = world.graph
+    return _mask_adjacency(world.graph, world.present)
+
+
+def _mask_adjacency(
+    graph: UncertainBipartiteGraph, mask: np.ndarray
+) -> GlobalAdjacency:
     offset = graph.n_left
     adjacency: GlobalAdjacency = [[] for _ in range(graph.n_vertices)]
     edge_left = graph.edge_left
     edge_right = graph.edge_right
-    for e in np.flatnonzero(world.present):
+    for e in np.flatnonzero(mask):
         e = int(e)
         u = int(edge_left[e])
         v = offset + int(edge_right[e])
@@ -67,7 +72,8 @@ def iter_angle_groups(
     intermediates, yields ``(x, z, angles)`` where each angle is
     ``(middle, edge_x_middle, edge_middle_z)``.  Every butterfly
     corresponds to exactly one unordered pair of angles within exactly one
-    yielded group.
+    yielded group.  Single-angle groups are yielded too: they form no
+    butterfly, but Algorithm 1 still generates (and counts) their angle.
     """
     n = len(adjacency)
     for x in range(n):
@@ -81,8 +87,7 @@ def iter_angle_groups(
                     continue
                 groups[z].append((y, edge_xy, edge_yz))
         for z, angles in groups.items():
-            if len(angles) >= 2:
-                yield x, z, angles
+            yield x, z, angles
 
 
 def count_butterflies(
@@ -132,6 +137,42 @@ def enumerate_butterflies(
             yield assemble_butterfly(
                 x, z, m1, m2, (e1a, e1b, e2a, e2b), offset, weights
             )
+
+
+def max_weight_butterflies_enumerated(
+    graph: UncertainBipartiteGraph,
+    mask: np.ndarray,
+    priority: np.ndarray,
+) -> Tuple[List[Butterfly], int, int]:
+    """Algorithm 1's per-world search (lines 5-17), the MC-VP baseline.
+
+    Generates every angle of the world ``mask`` selects, grouped by
+    endpoint pair, materialises every angle pair as a butterfly and keeps
+    the maximum-weight set — the cost Section V removes.  Assembling also
+    fixes each weight's summation order to the canonical edge order, so
+    equal-weight ties compare exactly.  Returns ``(S_MB, n_angles,
+    n_butterflies_checked)``.
+    """
+    offset = graph.n_left
+    weights = graph.weights
+    n_angles = 0
+    n_checked = 0
+    w_max = -np.inf
+    winners: List[Butterfly] = []
+    adjacency = _mask_adjacency(graph, mask)
+    for x, z, angles in iter_angle_groups(adjacency, priority):
+        n_angles += len(angles)
+        for (m1, e1a, e1b), (m2, e2a, e2b) in combinations(angles, 2):
+            n_checked += 1
+            butterfly = assemble_butterfly(
+                x, z, m1, m2, (e1a, e1b, e2a, e2b), offset, weights
+            )
+            if butterfly.weight > w_max:
+                w_max = butterfly.weight
+                winners = [butterfly]
+            elif butterfly.weight == w_max:
+                winners.append(butterfly)
+    return winners, n_angles, n_checked
 
 
 def assemble_butterfly(

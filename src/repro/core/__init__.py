@@ -44,7 +44,7 @@ from .ols import (
 from .optimized_estimator import estimate_probabilities_optimized
 from .query import ProbabilityEstimate, estimate_probability
 from .ordering_sampling import ordering_sampling, os_trial
-from .results import MPMBResult, merge_results, result_from_frequency_loop
+from .results import MPMBResult, merge_results
 from .serialize import (
     load_result,
     result_from_dict,
@@ -61,7 +61,6 @@ __all__ = [
     "EstimationOutcome",
     "MPMBResult",
     "merge_results",
-    "result_from_frequency_loop",
     "result_to_dict",
     "result_from_dict",
     "save_result",

@@ -7,44 +7,34 @@ probability.  The method is deliberately unoptimised beyond vertex
 priority — it generates and stores every angle and inspects every
 butterfly, which is exactly the cost profile the paper's Section V
 optimisations remove.
+
+The per-world enumeration runs as the vectorised wedge kernel over a
+once-built backbone wedge index, through the winner-frequency driver
+shared with OS (:mod:`repro.core.frequency`); its winner sets and
+counters equal the nested-loop enumeration's
+(:func:`~repro.butterfly.bfc_vp.max_weight_butterflies_enumerated`),
+which runs instead only on graphs whose index would not fit in memory
+and which ``tests/oracles.py`` uses as the reference.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..butterfly import Butterfly, ButterflyKey
-from ..butterfly.bfc_vp import assemble_butterfly
-from ..errors import ConfigurationError
-from ..graph import (
-    UncertainBipartiteGraph,
-    degree_priority,
-    expected_degree_priority,
+from ..butterfly import (
+    Butterfly,
+    ButterflyKey,
+    max_weight_butterflies_enumerated,
 )
-from ..kernels import (
-    BlockedWinnerLoop,
-    WedgeBlockKernel,
-    WedgeIndex,
-    build_wedge_index,
-    resolve_block_budget,
-    resolve_block_size,
-)
-from ..observability import Observer, ensure_observer
-from ..observability.profiling import stopwatch
-from ..sampling import RngLike, ensure_rng
-from ..worlds import WorldSampler
-from .results import (
-    MPMBResult,
-    record_sampling_metrics,
-    result_from_frequency_loop,
-)
-from ..runtime.engine import execute_trial_loop
-from ..runtime.frequency import WinnerCountLoop
+from ..graph import UncertainBipartiteGraph
+from ..kernels import WedgeBlockKernel, WedgeIndex
+from ..observability import Observer
 from ..runtime.policy import RuntimePolicy
+from ..sampling import RngLike
+from .frequency import run_winner_frequency
+from .results import MPMBResult
 
 
 def mc_vp(
@@ -73,23 +63,22 @@ def mc_vp(
         checkpoints: Number of evenly spaced trace checkpoints.
         antithetic: Sample worlds in antithetic pairs (variance
             reduction extension).
-        block_size: Run through the batched kernel layer, drawing this
-            many worlds per vectorised RNG call and evaluating the
-            whole block through the vectorised wedge kernel
+        block_size: Worlds drawn per vectorised RNG call and evaluated
+            together by the wedge kernel
             (:class:`~repro.kernels.wedge_block.WedgeBlockKernel`);
-            ``None`` keeps the scalar per-trial loop.  Mask blocks are
-            stream-equivalent to scalar draws and the kernel reproduces
-            the scalar search's exact winner semantics, so results are
-            bit-identical either way; see ``docs/kernels.md``.
+            ``None`` uses
+            :data:`~repro.kernels.blocks.DEFAULT_BLOCK_SIZE`.  Mask
+            blocks are stream-equivalent to single-world draws and the
+            kernel keeps Algorithm 1's exact winner semantics, so
+            results are bit-identical for every block size; see
+            ``docs/kernels.md``.
         bytes_budget: Peak working-set bytes one kernel block may use
             (``None`` uses the 64 MiB default); the effective block
-            size is shrunk to fit, which is semantically free.  Only
-            meaningful with ``block_size``.
+            size is shrunk to fit, which is semantically free.
         wedge_index: Optional prebuilt
             :class:`~repro.kernels.wedge_block.WedgeIndex` (e.g. one
             attached from shared memory by the worker pool); reused
             only when its ``priority_kind`` matches, rebuilt otherwise.
-            Only meaningful with ``block_size``.
         priority_kind: Vertex-priority ranking — ``"degree"`` (the
             paper's BFC-VP order) or ``"expected-degree"`` (rank by
             ``d̄(u) = Σ p(e)``, the quantity Lemma IV.1's cost is
@@ -113,209 +102,50 @@ def mc_vp(
         and stats counters ``angles_processed``, ``angles_stored_peak``
         and ``butterflies_checked``.
     """
-    observer = ensure_observer(observer)
-    if priority_kind == "degree":
-        priority = degree_priority(graph)
-    elif priority_kind == "expected-degree":
-        priority = expected_degree_priority(graph)
-    else:
-        raise ConfigurationError(
-            f"priority_kind must be 'degree' or 'expected-degree', "
-            f"got {priority_kind!r}"
-        )
-    sampler = WorldSampler(graph, ensure_rng(rng), antithetic=antithetic)
-    stats = {
-        "angles_processed": 0.0,
-        "angles_stored_peak": 0.0,
-        "butterflies_checked": 0.0,
-    }
-
-    def mask_trial(mask: np.ndarray) -> List[Butterfly]:
-        winners, trial_stats = _max_butterflies_vertex_priority(
-            graph, mask, priority
-        )
-        stats["angles_processed"] += trial_stats[0]
-        stats["angles_stored_peak"] = max(
-            stats["angles_stored_peak"], trial_stats[0]
-        )
-        stats["butterflies_checked"] += trial_stats[1]
-        return winners
-
-    def run_trial() -> List[Butterfly]:
-        return mask_trial(sampler.sample_mask())
-
-    loop = WinnerCountLoop(
-        graph, sampler, run_trial, n_trials,
-        track=track, checkpoints=checkpoints, stats=stats,
-        observer=observer,
+    return run_winner_frequency(
+        graph, n_trials, method="mc-vp", tie_mode="exact",
+        priority_kind=priority_kind,
+        stats=dict.fromkeys(
+            ("angles_processed", "angles_stored_peak", "butterflies_checked"),
+            0.0,
+        ),
+        evaluate=_evaluate_block, search=_search_world, rng=rng,
+        track=track,
+        checkpoints=checkpoints, antithetic=antithetic,
+        block_size=block_size, bytes_budget=bytes_budget,
+        wedge_index=wedge_index, runtime=runtime, observer=observer,
+        adaptive=adaptive,
     )
 
-    def wrap(engine_loop, unit_lengths=None):
-        """Wrap the engine loop in the racing stop rule when enabled."""
-        if adaptive is None:
-            return engine_loop, None
-        # Lazy import: repro.adaptive consumes the core estimators, so
-        # importing it eagerly here would cycle at package load.
-        from ..adaptive.racing import (
-            RacingFrequencyLoop,
-            adaptive_delta,
-            adaptive_mu,
-            resolve_adaptive,
-        )
 
-        config = resolve_adaptive(adaptive)
-        if config is None:
-            return engine_loop, None
-        racer = RacingFrequencyLoop(
-            engine_loop,
-            counts_fn=lambda: loop.counts.values(),
-            config=config,
-            delta=adaptive_delta(config, runtime),
-            mu=adaptive_mu(runtime),
-            phantom=True,
-            unit_lengths=unit_lengths,
-        )
-        return racer, racer
+def _evaluate_block(
+    kernel: WedgeBlockKernel, masks: np.ndarray, stats: Dict[str, float]
+) -> List[List[Butterfly]]:
+    """One block of Algorithm 1 trial bodies (lines 5-17).
 
-    with observer.span("sampling", method="mc-vp"), stopwatch() as timer:
-        if block_size is None:
-            engine_loop, racer = wrap(loop)
-            report = execute_trial_loop(
-                method="mc-vp",
-                graph_name=graph.name,
-                n_target=n_trials,
-                loop=engine_loop,
-                policy=runtime,
-                observer=observer,
-            )
-        else:
-            block = resolve_block_size(n_trials, block_size)
-            with observer.span("wedge-index"):
-                if (
-                    wedge_index is None
-                    or wedge_index.priority_kind != priority_kind
-                ):
-                    wedge_index = build_wedge_index(
-                        graph, priority, priority_kind=priority_kind
-                    )
-            kernel = WedgeBlockKernel(graph, wedge_index, tie_mode="exact")
-            budget = resolve_block_budget(
-                block, graph.n_edges, wedge_index.n_wedges,
-                wedge_index.n_groups, budget_bytes=bytes_budget,
-            )
-            block = budget.block_size
-            observer.set("kernel.block_size", float(block))
-            observer.set("kernel.bytes_budget", float(budget.budget_bytes))
-            observer.set("kernel.block_bytes", float(budget.block_bytes))
-            observer.set("kernel.wedges", float(wedge_index.n_wedges))
-
-            def block_fn(masks: np.ndarray) -> List[List[Butterfly]]:
-                outcome = kernel.evaluate_block(masks)
-                stats["angles_processed"] += outcome.wedges_present
-                stats["angles_stored_peak"] = max(
-                    stats["angles_stored_peak"],
-                    outcome.wedges_present_peak,
-                )
-                stats["butterflies_checked"] += (
-                    outcome.butterflies_present
-                )
-                return outcome.winners
-
-            blocked = BlockedWinnerLoop(
-                loop, mask_trial, n_trials, block,
-                observer=observer, block_fn=block_fn,
-            )
-            engine_loop, racer = wrap(blocked, unit_lengths=blocked.lengths)
-            report = execute_trial_loop(
-                method="mc-vp",
-                graph_name=graph.name,
-                n_target=blocked.n_blocks,
-                loop=engine_loop,
-                policy=runtime,
-                unit="block",
-                unit_lengths=blocked.lengths,
-                observer=observer,
-            )
-    guarantee = None
-    if racer is not None:
-        from ..adaptive.racing import frequency_racing_summary
-
-        # Must run before result assembly: a certified racing stop is
-        # cleared from the report so the result is not marked degraded.
-        guarantee = frequency_racing_summary(racer, report, observer)
-    result = result_from_frequency_loop(
-        "mc-vp", graph, loop, report, policy=runtime
+    The kernel's segment reductions count exactly the angles and
+    butterflies the per-world enumeration generates and inspects.
+    """
+    outcome = kernel.evaluate_block(masks)
+    stats["angles_processed"] += outcome.wedges_present
+    stats["angles_stored_peak"] = max(
+        stats["angles_stored_peak"], outcome.wedges_present_peak
     )
-    if guarantee is not None:
-        result.guarantee = guarantee
-        result.stats["trials_saved"] = float(
-            report.n_trials_target - report.n_trials
-        )
-        result.stats["candidates_eliminated"] = float(racer.eliminated)
-    record_sampling_metrics(observer, result, timer.seconds)
-    return result
+    stats["butterflies_checked"] += outcome.butterflies_present
+    return outcome.winners
 
 
-def _max_butterflies_vertex_priority(
+def _search_world(
     graph: UncertainBipartiteGraph,
     mask: np.ndarray,
     priority: np.ndarray,
-) -> Tuple[List[Butterfly], Tuple[int, int]]:
-    """One MC-VP trial body (Algorithm 1 lines 5-17).
-
-    Builds every angle of the sampled world grouped by endpoint pair,
-    combines each angle pair into a butterfly, and keeps the maximum
-    weight set.  Returns ``(S_MB, (n_angles, n_butterflies_checked))``.
-    """
-    offset = graph.n_left
-    weights = graph.weights
-    edge_left = graph.edge_left
-    edge_right = graph.edge_right
-
-    # World adjacency over global vertex ids (Algorithm 1 works on V).
-    adjacency: List[List[Tuple[int, int]]] = [
-        [] for _ in range(graph.n_vertices)
-    ]
-    for e in np.flatnonzero(mask):
-        e = int(e)
-        u = int(edge_left[e])
-        v = offset + int(edge_right[e])
-        adjacency[u].append((v, e))
-        adjacency[v].append((u, e))
-
-    n_angles = 0
-    n_checked = 0
-    w_max = -np.inf
-    winners: List[Butterfly] = []
-
-    for x in range(graph.n_vertices):
-        px = priority[x]
-        groups: Dict[int, List[Tuple[int, int, int]]] = defaultdict(list)
-        for y, edge_xy in adjacency[x]:
-            if px <= priority[y]:
-                continue
-            for z, edge_yz in adjacency[y]:
-                if z == x or px <= priority[z]:
-                    continue
-                groups[z].append((y, edge_xy, edge_yz))
-                n_angles += 1
-        for z, angles in groups.items():
-            if len(angles) < 2:
-                continue
-            for (m1, e1a, e1b), (m2, e2a, e2b) in combinations(angles, 2):
-                # Algorithm 1 materialises every butterfly before comparing
-                # (that cost is what Section V removes).  Assembling also
-                # fixes the weight's summation order to the canonical edge
-                # order, so equal-weight ties compare exactly.
-                n_checked += 1
-                butterfly = assemble_butterfly(
-                    x, z, m1, m2, (e1a, e1b, e2a, e2b), offset, weights
-                )
-                if butterfly.weight < w_max:
-                    continue
-                if butterfly.weight > w_max:
-                    w_max = butterfly.weight
-                    winners = [butterfly]
-                else:
-                    winners.append(butterfly)
-    return winners, (n_angles, n_checked)
+    stats: Dict[str, float],
+) -> List[Butterfly]:
+    """One Algorithm 1 trial body by the nested-loop enumeration."""
+    winners, n_angles, n_checked = max_weight_butterflies_enumerated(
+        graph, mask, priority
+    )
+    stats["angles_processed"] += n_angles
+    stats["angles_stored_peak"] = max(stats["angles_stored_peak"], n_angles)
+    stats["butterflies_checked"] += n_checked
+    return winners

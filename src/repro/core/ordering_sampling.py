@@ -4,39 +4,30 @@ OS keeps MC-VP's outer Monte-Carlo loop but replaces the per-trial
 butterfly enumeration with the Section V weight-ordered search
 (:func:`repro.butterfly.max_weight.max_weight_butterflies`): edges are
 consumed heaviest-first, only the top-2 angle classes per endpoint pair
-are stored, and only maximum-weight butterflies are materialised.  The
-three optimisations are individually toggleable for the ablation
-benchmarks.
+are stored, and only maximum-weight butterflies are materialised.
+:func:`ordering_sampling` finds the same winner sets through the wedge
+kernel shared with MC-VP (:mod:`repro.core.frequency`), whose
+bound-ordered group scan is the same early exit.  The search itself
+runs as :func:`os_trial` in the OLS preparing phase (its three
+optimisations stay individually toggleable there for the ablations) and
+per world on graphs whose wedge index would not fit in memory.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..butterfly import Butterfly, ButterflyKey, max_weight_butterflies
 from ..graph import UncertainBipartiteGraph
-from ..kernels import (
-    BlockedWinnerLoop,
-    WedgeBlockKernel,
-    WedgeIndex,
-    build_wedge_index,
-    resolve_block_budget,
-    resolve_block_size,
-)
+from ..kernels import WedgeBlockKernel, WedgeIndex
 from ..observability import Observer, ensure_observer
-from ..observability.profiling import stopwatch
-from ..sampling import RngLike, ensure_rng
-from ..worlds import WorldSampler
-from .results import (
-    MPMBResult,
-    record_sampling_metrics,
-    result_from_frequency_loop,
-)
-from ..runtime.engine import execute_trial_loop
-from ..runtime.frequency import WinnerCountLoop
 from ..runtime.policy import RuntimePolicy
+from ..sampling import RngLike
+from ..worlds import WorldSampler
+from .frequency import run_winner_frequency
+from .results import MPMBResult
 
 
 def os_trial(
@@ -62,8 +53,6 @@ def ordering_sampling(
     rng: RngLike = None,
     track: Optional[Iterable[ButterflyKey]] = None,
     checkpoints: int = 40,
-    prune: bool = True,
-    pair_side: str = "auto",
     antithetic: bool = False,
     block_size: Optional[int] = None,
     bytes_budget: Optional[int] = None,
@@ -80,32 +69,23 @@ def ordering_sampling(
         rng: Seed or generator.
         track: Optional butterfly keys to trace (Figure 11).
         checkpoints: Number of evenly spaced trace checkpoints.
-        prune: Apply the Section V-B edge-ordering early exit (ablation
-            switch; the result distribution is identical either way).
-        pair_side: Endpoint-pair side for the angle index — ``"auto"``
-            (Lemma V.1 cost minimisation), ``"left"`` or ``"right"``.
         antithetic: Sample worlds in antithetic pairs (variance
             reduction; see :class:`~repro.worlds.sampler.WorldSampler`).
-        block_size: Run through the batched kernel layer, drawing this
-            many worlds per vectorised RNG call and evaluating the
-            whole block through the vectorised wedge kernel in ``rtol``
-            tie mode, which reproduces the weight-ordered search's
+        block_size: Worlds drawn per vectorised RNG call and evaluated
+            together by the wedge kernel in ``rtol`` tie mode, which
+            reproduces the weight-ordered search's
             :func:`~repro.butterfly.max_weight.weights_equal` winner
-            classes (``None`` keeps the scalar per-trial loop).  Winner
-            sets, traces, and estimates are bit-identical either way;
-            the batched path reports the kernel scan's own work
-            counters — ``wedges_scanned`` presence evaluations and
-            ``trials_pruned`` early-exited worlds — instead of the
-            scalar scan's per-edge counters, which have no vectorised
-            equivalent — see ``docs/kernels.md``.
+            classes; ``None`` uses
+            :data:`~repro.kernels.blocks.DEFAULT_BLOCK_SIZE`.  Winner
+            sets, traces and estimates are bit-identical for every
+            block size; see ``docs/kernels.md``.
         bytes_budget: Peak working-set bytes one kernel block may use
             (``None`` uses the 64 MiB default); the effective block
-            size is shrunk to fit.  Only meaningful with ``block_size``.
+            size is shrunk to fit.
         wedge_index: Optional prebuilt
             :class:`~repro.kernels.wedge_block.WedgeIndex` (e.g. one
             attached from shared memory by the worker pool); reused
             only when built with degree priorities, rebuilt otherwise.
-            Only meaningful with ``block_size``.
         runtime: Optional :class:`~repro.runtime.policy.RuntimePolicy`
             enabling checkpoint/resume, deadlines, and graceful
             degradation for the trial loop.
@@ -123,143 +103,51 @@ def ordering_sampling(
 
     Returns:
         An :class:`~repro.core.results.MPMBResult` with ``method="os"``
-        and stats counters ``edges_processed``, ``angles_processed`` and
-        ``angles_stored`` aggregated over trials.
+        and the scan's work counters: ``wedges_scanned`` (wedge
+        presence evaluations; on the per-world path, the angles the
+        weight-ordered search formed) and ``trials_pruned`` (worlds
+        whose scan exited early).
     """
     observer = ensure_observer(observer)
-    sampler = WorldSampler(graph, ensure_rng(rng), antithetic=antithetic)
+    # Only the per-world search reads the weight-ordered edge index; on
+    # indexable graphs the span times an unused argsort, kept while the
+    # observability tests and perfbench's ``core.edge_ordering_s`` read
+    # it (ROADMAP open item 5).
     with observer.span("edge-ordering"):
-        order = graph.edges_by_weight_desc
-    if block_size is None:
-        stats = {
-            "edges_processed": 0.0,
-            "angles_processed": 0.0,
-            "angles_stored": 0.0,
-            "trials_pruned": 0.0,
-        }
-    else:
-        # The scalar scan's per-edge counters have no vectorised
-        # equivalent; the batched path reports the kernel scan's own
-        # pruned work (same spirit: how much the bound order saved).
-        stats = {
-            "wedges_scanned": 0.0,
-            "trials_pruned": 0.0,
-        }
-
-    def mask_trial(mask: np.ndarray) -> List[Butterfly]:
-        present_sorted = order[mask[order]]
-        search = max_weight_butterflies(
-            graph, present_sorted, prune=prune, pair_side=pair_side
-        )
-        stats["edges_processed"] += search.n_edges_processed
-        stats["angles_processed"] += search.n_angles_processed
-        stats["angles_stored"] += search.n_angles_stored
-        if search.pruned:
-            stats["trials_pruned"] += 1
-        return search.butterflies
-
-    def run_trial() -> List[Butterfly]:
-        return mask_trial(sampler.sample_mask())
-
-    loop = WinnerCountLoop(
-        graph, sampler, run_trial, n_trials,
-        track=track, checkpoints=checkpoints, stats=stats,
-        observer=observer,
+        graph.edges_by_weight_desc
+    return run_winner_frequency(
+        graph, n_trials, method="os", tie_mode="rtol",
+        priority_kind="degree",
+        stats={"wedges_scanned": 0.0, "trials_pruned": 0.0},
+        evaluate=_evaluate_block, search=_search_world, rng=rng,
+        track=track,
+        checkpoints=checkpoints, antithetic=antithetic,
+        block_size=block_size, bytes_budget=bytes_budget,
+        wedge_index=wedge_index, runtime=runtime, observer=observer,
+        adaptive=adaptive,
     )
 
-    def wrap(engine_loop, unit_lengths=None):
-        """Wrap the engine loop in the racing stop rule when enabled."""
-        if adaptive is None:
-            return engine_loop, None
-        # Lazy import: repro.adaptive consumes the core estimators, so
-        # importing it eagerly here would cycle at package load.
-        from ..adaptive.racing import (
-            RacingFrequencyLoop,
-            adaptive_delta,
-            adaptive_mu,
-            resolve_adaptive,
-        )
 
-        config = resolve_adaptive(adaptive)
-        if config is None:
-            return engine_loop, None
-        racer = RacingFrequencyLoop(
-            engine_loop,
-            counts_fn=lambda: loop.counts.values(),
-            config=config,
-            delta=adaptive_delta(config, runtime),
-            mu=adaptive_mu(runtime),
-            phantom=True,
-            unit_lengths=unit_lengths,
-        )
-        return racer, racer
+def _evaluate_block(
+    kernel: WedgeBlockKernel, masks: np.ndarray, stats: Dict[str, float]
+) -> List[List[Butterfly]]:
+    """One block of Algorithm 2 trial bodies (lines 4-20)."""
+    outcome = kernel.evaluate_block(masks, with_stats=False)
+    stats["wedges_scanned"] += outcome.wedges_scanned
+    stats["trials_pruned"] += outcome.rows_pruned
+    return outcome.winners
 
-    with observer.span("sampling", method="os"), stopwatch() as timer:
-        if block_size is None:
-            engine_loop, racer = wrap(loop)
-            report = execute_trial_loop(
-                method="os",
-                graph_name=graph.name,
-                n_target=n_trials,
-                loop=engine_loop,
-                policy=runtime,
-                observer=observer,
-            )
-        else:
-            block = resolve_block_size(n_trials, block_size)
-            with observer.span("wedge-index"):
-                if (
-                    wedge_index is None
-                    or wedge_index.priority_kind != "degree"
-                ):
-                    wedge_index = build_wedge_index(graph)
-            kernel = WedgeBlockKernel(graph, wedge_index, tie_mode="rtol")
-            budget = resolve_block_budget(
-                block, graph.n_edges, wedge_index.n_wedges,
-                wedge_index.n_groups, budget_bytes=bytes_budget,
-            )
-            block = budget.block_size
-            observer.set("kernel.block_size", float(block))
-            observer.set("kernel.bytes_budget", float(budget.budget_bytes))
-            observer.set("kernel.block_bytes", float(budget.block_bytes))
-            observer.set("kernel.wedges", float(wedge_index.n_wedges))
 
-            def block_fn(masks: np.ndarray) -> List[List[Butterfly]]:
-                outcome = kernel.evaluate_block(masks, with_stats=False)
-                stats["wedges_scanned"] += outcome.wedges_scanned
-                stats["trials_pruned"] += outcome.rows_pruned
-                return outcome.winners
-
-            blocked = BlockedWinnerLoop(
-                loop, mask_trial, n_trials, block,
-                observer=observer, block_fn=block_fn,
-            )
-            engine_loop, racer = wrap(blocked, unit_lengths=blocked.lengths)
-            report = execute_trial_loop(
-                method="os",
-                graph_name=graph.name,
-                n_target=blocked.n_blocks,
-                loop=engine_loop,
-                policy=runtime,
-                unit="block",
-                unit_lengths=blocked.lengths,
-                observer=observer,
-            )
-    guarantee = None
-    if racer is not None:
-        from ..adaptive.racing import frequency_racing_summary
-
-        # Must run before result assembly: a certified racing stop is
-        # cleared from the report so the result is not marked degraded.
-        guarantee = frequency_racing_summary(racer, report, observer)
-    result = result_from_frequency_loop(
-        "os", graph, loop, report, policy=runtime
-    )
-    if guarantee is not None:
-        result.guarantee = guarantee
-        result.stats["trials_saved"] = float(
-            report.n_trials_target - report.n_trials
-        )
-        result.stats["candidates_eliminated"] = float(racer.eliminated)
-    record_sampling_metrics(observer, result, timer.seconds)
-    return result
+def _search_world(
+    graph: UncertainBipartiteGraph,
+    mask: np.ndarray,
+    priority: np.ndarray,
+    stats: Dict[str, float],
+) -> List[Butterfly]:
+    """One Algorithm 2 trial body by the weight-ordered search; the
+    angles it forms stand in for the kernel's scanned wedges."""
+    order = graph.edges_by_weight_desc
+    search = max_weight_butterflies(graph, order[mask[order]])
+    stats["wedges_scanned"] += search.n_angles_processed
+    stats["trials_pruned"] += search.pruned
+    return search.butterflies

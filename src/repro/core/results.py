@@ -16,7 +16,7 @@ from ..butterfly import Butterfly, ButterflyKey
 from ..errors import ConfigurationError
 from ..graph import UncertainBipartiteGraph
 from ..observability import Observer
-from ..runtime.degradation import Guarantee, recompute_guarantee
+from ..runtime.degradation import Guarantee
 from ..sampling import ConvergenceTrace
 
 
@@ -124,56 +124,6 @@ class MPMBResult:
             f"<MPMBResult {self.method} trials={self.n_trials} "
             f"observed={len(self.estimates)} best={described}>"
         )
-
-
-def result_from_frequency_loop(
-    method: str,
-    graph: UncertainBipartiteGraph,
-    loop,
-    report,
-    policy=None,
-) -> MPMBResult:
-    """Assemble an :class:`MPMBResult` from an engine-driven winner loop.
-
-    Shared by MC-VP and OS: winner frequencies are computed over the
-    trials the engine actually completed, and an early stop yields a
-    degraded result whose ε is re-widened for the achieved trial count
-    (policy ``guarantee_mu``/``guarantee_delta``, paper defaults
-    otherwise).
-
-    Args:
-        method: Result method identifier.
-        graph: The analysed graph.
-        loop: The :class:`~repro.runtime.frequency.WinnerCountLoop`.
-        report: The engine's :class:`~repro.runtime.engine.LoopReport`.
-        policy: The :class:`~repro.runtime.policy.RuntimePolicy`, if any.
-    """
-    degraded = report.degraded
-    guarantee = None
-    # Block-granular runs count engine units in blocks; ``n_trials`` /
-    # ``n_trials_target`` resolve them back to Monte-Carlo trials so a
-    # degraded blocked run normalises (and re-widens ε) over completed
-    # blocks × block size + remainder, never over block counts.
-    if degraded:
-        guarantee = recompute_guarantee(
-            report.n_trials,
-            report.n_trials_target,
-            mu=policy.guarantee_mu if policy is not None else 0.05,
-            delta=policy.guarantee_delta if policy is not None else 0.1,
-        )
-    return MPMBResult(
-        method=method,
-        graph=graph,
-        n_trials=report.n_trials,
-        estimates=loop.probabilities(report.n_trials),
-        butterflies=dict(loop.butterflies),
-        traces=loop.traces,
-        stats=loop.stats,
-        degraded=degraded,
-        degraded_reason=report.stop_reason,
-        target_trials=report.n_trials_target if degraded else None,
-        guarantee=guarantee,
-    )
 
 
 def record_sampling_metrics(

@@ -50,9 +50,10 @@ class ExperimentConfig:
         timeout_seconds: Optional per-run wall-clock budget; expired
             runs return degraded results with re-widened guarantees
             instead of blocking the whole sweep.
-        block_size: Route the sampling methods through the batched
-            kernel layer with this many trials per vectorised call;
-            ``None`` keeps the scalar loops (see ``docs/performance.md``).
+        block_size: Trials per vectorised kernel call for the sampling
+            methods; ``None`` keeps each method's default — the wedge
+            kernel's default block for MC-VP/OS, the scalar loops for
+            OLS/OLS-KL (see ``docs/performance.md``).
         adaptive: Run the sampling methods in anytime adaptive mode —
             racing elimination with empirical-Bernstein intervals and,
             for OLS-KL, the sublinear pre-screen — reporting realised

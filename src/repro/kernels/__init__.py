@@ -2,10 +2,12 @@
 
 This package evaluates Monte-Carlo trials in *blocks* — one NumPy kernel
 call per few hundred trials instead of a Python-level per-trial loop.
-Every estimator routes through it when given a ``block_size``:
+MC-VP and OS always run through it; OLS and OLS-KL do when given a
+``block_size``:
 
-- MC-VP / OS: :class:`BlockedWinnerLoop` draws one mask matrix per block
-  and hands the whole matrix to the vectorised wedge kernel
+- MC-VP / OS: the winner-frequency driver
+  (:mod:`repro.core.frequency`) draws one mask matrix per block and
+  hands the whole matrix to the vectorised wedge kernel
   (:class:`WedgeBlockKernel` over a once-built :class:`WedgeIndex`),
   whose per-world winner sets are bit-identical to the scalar search.
 - OLS: :class:`BlockedOptimizedLoop` + :class:`CandidateBlockKernel`
@@ -27,7 +29,6 @@ from .blocks import (
     resolve_block_size,
     trials_in_blocks,
 )
-from .frequency_block import BlockedWinnerLoop, BlockFn, MaskTrialFn
 from .karp_luby_block import UnionBlockKernel
 from .memory import (
     DEFAULT_BYTES_BUDGET,
@@ -40,27 +41,28 @@ from .wedge_block import (
     WedgeBlockKernel,
     WedgeIndex,
     build_wedge_index,
+    count_wedges,
     first_all_present,
+    wedge_index_fits,
 )
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_BYTES_BUDGET",
     "BlockBudget",
-    "BlockFn",
     "BlockedOptimizedLoop",
-    "BlockedWinnerLoop",
     "CandidateBlockKernel",
-    "MaskTrialFn",
     "UnionBlockKernel",
     "WedgeBlockKernel",
     "WedgeIndex",
     "block_lengths",
     "block_starts",
     "build_wedge_index",
+    "count_wedges",
     "first_all_present",
     "kernel_row_bytes",
     "resolve_block_budget",
     "resolve_block_size",
     "trials_in_blocks",
+    "wedge_index_fits",
 ]

@@ -36,6 +36,16 @@ from ..errors import ConfigurationError
 #: Default peak-bytes budget for one block's kernel working set (64 MiB).
 DEFAULT_BYTES_BUDGET = 64 * 1024 * 1024
 
+#: Peak bytes :func:`~repro.kernels.wedge_block.build_wedge_index`
+#: allocates per wedge (tracemalloc: 211-264 B on every bench profile
+#: and on abide/movielens at paper size; the retained index is ~70 B).
+INDEX_BYTES_PER_WEDGE = 256
+
+#: Largest wedge-index build the kernel attempts (2 GiB, ~8.4M wedges).
+#: Jester and protein at paper size would need ~107M and ~5.4G wedges,
+#: so MC-VP/OS evaluate their worlds one at a time instead.
+INDEX_BYTES_LIMIT = 2 * 1024 ** 3
+
 #: Upper bound on wedges reduced per *counter* chunk (MC-VP's
 #: index-order presence pass).  Bounds the int32 prefix-sum scratch
 #: independently of the wedge-index size (a single oversized group

@@ -1,7 +1,7 @@
 """Vectorised BFC-VP winner kernel over a precomputed wedge-CSR index.
 
-The scalar MC-VP trial body re-enumerates every angle of every sampled
-world in Python (Algorithm 1 lines 5-17).  But the *backbone* wedge set
+Algorithm 1's MC-VP trial body (lines 5-17), run as written,
+re-enumerates every angle of every sampled world in Python.  But the *backbone* wedge set
 is world-independent: a sampled world's angles are exactly the backbone
 wedges whose two edges are present, because the vertex-priority rule is
 evaluated on backbone priorities.  This module exploits that:
@@ -44,6 +44,7 @@ from ..butterfly.bfc_vp import assemble_butterfly, global_adjacency
 from ..butterfly.max_weight import WEIGHT_RTOL, weights_equal
 from ..errors import ConfigurationError
 from ..graph import UncertainBipartiteGraph, degree_priority
+from . import memory
 from .memory import SCAN_CHUNK, WEDGE_CHUNK
 
 #: Winner tie semantics the kernel can reproduce (see docs/kernels.md).
@@ -142,6 +143,43 @@ class WedgeIndex:
         )
 
 
+def count_wedges(
+    graph: UncertainBipartiteGraph, priority: np.ndarray
+) -> int:
+    """The wedge count :func:`build_wedge_index` would store, in O(|E|).
+
+    A vertex ``y`` centres one wedge per pair of its neighbours whose
+    higher-priority end outranks ``y``: ``C(d_y, 2) - C(l_y, 2)``, with
+    ``l_y`` of ``y``'s neighbours ranked below it.
+    """
+    left = np.asarray(graph.edge_left, dtype=np.int64)
+    right = np.asarray(graph.edge_right, dtype=np.int64) + graph.n_left
+    n = graph.n_vertices
+    degrees = np.bincount(np.concatenate([left, right]), minlength=n)
+    left_higher = priority[left] > priority[right]
+    lower = np.bincount(left[left_higher], minlength=n) + np.bincount(
+        right[~left_higher], minlength=n
+    )
+    return int(
+        (degrees * (degrees - 1) // 2 - lower * (lower - 1) // 2).sum()
+    )
+
+
+def wedge_index_fits(
+    graph: UncertainBipartiteGraph, priority: Optional[np.ndarray] = None
+) -> bool:
+    """Whether :func:`build_wedge_index` stays within
+    :data:`~repro.kernels.memory.INDEX_BYTES_LIMIT` on ``graph``.
+
+    The answer depends on the graph alone, so every process (and every
+    resume) of one run takes the same path.
+    """
+    if priority is None:
+        priority = degree_priority(graph)
+    n_wedges = count_wedges(graph, np.asarray(priority))
+    return n_wedges * memory.INDEX_BYTES_PER_WEDGE <= memory.INDEX_BYTES_LIMIT
+
+
 def build_wedge_index(
     graph: UncertainBipartiteGraph,
     priority: Optional[np.ndarray] = None,
@@ -152,8 +190,8 @@ def build_wedge_index(
 
     The enumeration mirrors
     :func:`~repro.butterfly.bfc_vp.iter_angle_groups` exactly (same
-    priority rule, same traversal order) but keeps singleton groups,
-    because per-world angle counts include them.
+    priority rule, same traversal order, singleton groups included,
+    because per-world angle counts include them).
 
     Args:
         graph: The backbone graph.
@@ -334,18 +372,18 @@ class BlockOutcome:
         winners: Per block row, the world's maximum-weight butterfly
             set (empty list for worlds without a butterfly).
         wedges_present: Total present wedges across the block's worlds
-            (the scalar ``angles_processed`` contribution).
+            (the MC-VP ``angles_processed`` contribution).
         wedges_present_peak: Largest single-world present-wedge count
-            (the scalar ``angles_stored_peak`` contribution).
+            (the MC-VP ``angles_stored_peak`` contribution).
         butterflies_present: Total present butterflies across the
-            block's worlds (the scalar ``butterflies_checked``
+            block's worlds (the MC-VP ``butterflies_checked``
             contribution — Algorithm 1 inspects each one).
         wedges_scanned: Presence evaluations the bound-ordered winner
             scan actually performed (scanned wedges × active worlds) —
-            the kernel analogue of the scalar pruned search's work
-            counters.  Always filled, even with ``with_stats=False``.
+            OS's ``wedges_scanned`` contribution.  Always filled, even
+            with ``with_stats=False``.
         rows_pruned: Worlds whose winner scan exited before the last
-            chunk (the kernel analogue of scalar ``trials_pruned``).
+            chunk (OS's ``trials_pruned`` contribution).
     """
 
     winners: List[List[Butterfly]]
@@ -397,11 +435,11 @@ class WedgeBlockKernel:
             masks: ``(block, n_edges)`` boolean edge-presence matrix.
             with_stats: Also compute the per-world angle/butterfly
                 counts, which need a presence pass over the *full*
-                index order.  MC-VP requires them (its scalar counters
-                are bit-identical segment reductions); OS skips them —
-                its scalar counters measure the pruned scan's work, and
-                the kernel analogue (``wedges_scanned``/``rows_pruned``)
-                falls out of the winner scan for free.
+                index order.  MC-VP requires them (its counters are
+                segment reductions equal to Algorithm 1's counts); OS
+                skips them — it reports the pruned scan's own work
+                (``wedges_scanned``/``rows_pruned``), which falls out
+                of the winner scan for free.
         """
         index = self.index
         n_rows = masks.shape[0]

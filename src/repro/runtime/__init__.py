@@ -41,7 +41,6 @@ from .engine import (
     require_complete,
 )
 from .faults import CRASH_EXIT_CODE, FaultPlan, InjectedCrash
-from .frequency import WinnerCountLoop
 from .policy import Deadline, RuntimePolicy
 from .shm import (
     SharedGraphHandle,
@@ -75,7 +74,6 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "FaultPlan",
     "InjectedCrash",
-    "WinnerCountLoop",
     "Deadline",
     "RuntimePolicy",
     "SharedGraphHandle",

@@ -252,6 +252,7 @@ def execute_trial_loop(
                             f"of {method}"
                         )
                 loop.run_trial(trial)
+                done_before = report.n_trials
                 report.completed = trial
                 if unit_lengths is None:
                     trials_completed.inc()
@@ -261,10 +262,14 @@ def execute_trial_loop(
                         (report.trials_completed or 0)
                         + int(unit_lengths[trial - 1])
                     )
+                # ``checkpoint_every`` counts Monte-Carlo trials: a
+                # block-granular loop snapshots at the first block
+                # boundary at or past each multiple.
+                every = policy.checkpoint_every
                 if (
                     policy.checkpoint_path is not None
                     and report.completed < n_target
-                    and report.completed % policy.checkpoint_every == 0
+                    and report.n_trials // every > done_before // every
                 ):
                     _snapshot()
         except KeyboardInterrupt:

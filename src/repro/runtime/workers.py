@@ -164,7 +164,6 @@ def _wants_shared_index(method: str, method_kwargs: Dict) -> bool:
     """
     return (
         method in _INDEXED_METHODS
-        and method_kwargs.get("block_size") is not None
         and method_kwargs.get("priority_kind", "degree") == "degree"
     )
 
@@ -402,9 +401,11 @@ def run_parallel_trials(
         block_size: Shard whole blocks of this many trials across the
             workers (no block straddles two workers) and run each worker
             through the batched kernel layer; ``None`` shards single
-            trials and keeps the scalar loops.  Batched runs build the
-            wedge-CSR index once on the coordinator and publish it into
-            the shared segment, so workers skip the per-process build.
+            trials and leaves each worker's method at its default (the
+            wedge kernel's default block for MC-VP/OS, the scalar loop
+            for OLS).  MC-VP/OS pools build the wedge-CSR index once on
+            the coordinator and publish it into the shared segment, so
+            workers skip the per-process build.
         observer: Optional :class:`~repro.observability.Observer`.  When
             given, each worker records its own metrics/spans in-process
             and ships them with its result; the coordinator merges the
@@ -469,10 +470,14 @@ def run_parallel_trials(
     if pool is None:
         wedge_index = None
         if _wants_shared_index(method, method_kwargs):
-            from ..kernels.wedge_block import build_wedge_index
+            from ..kernels.wedge_block import (
+                build_wedge_index,
+                wedge_index_fits,
+            )
 
             with observer.span("wedge-index", shared=True):
-                wedge_index = build_wedge_index(graph)
+                if wedge_index_fits(graph):
+                    wedge_index = build_wedge_index(graph)
         pool = WorkerPool(
             graph, mp_context=mp_context, wedge_index=wedge_index,
             observer=observer,

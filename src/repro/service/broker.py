@@ -19,10 +19,12 @@ invariant is that no well-formed request can crash the service:
 * **estimator/engine error** (including injected crashes) →
   ``failed`` with the error message.
 
-Determinism contract: a scalar request (``block_size=None``, no
-deadline, no injected faults) executes ``find_mpmb`` with exactly the
-CLI's argument shape, so service answers are bit-identical to
-``python -m repro search`` for the same parameters and seed.
+Determinism contract: a request with no deadline and no injected
+faults executes ``find_mpmb`` with exactly the CLI's argument shape, so
+service answers are bit-identical to ``python -m repro search`` for the
+same parameters and seed.  ``block_size`` is forwarded as given; MC-VP
+and OS answers do not depend on it (their kernel results are
+bit-identical for every block size), OLS/OLS-KL answers do.
 """
 
 from __future__ import annotations
@@ -321,8 +323,9 @@ class QueryBroker:
         checksum: consecutive pooled requests against the same graph
         bytes reuse the shared-memory segment and the attached worker
         processes (``worker.shm.reused``).  A checksum change (reload)
-        or a batched request against an index-less pool tears the pool
-        down and republishes.
+        or an MC-VP/OS request against an index-less pool (on a graph
+        whose wedge index fits in memory) tears the pool down and
+        republishes.
 
         Thread safety: concurrent pooled requests race on the pool
         map, so it is only touched under ``_pools_lock`` — but never
@@ -334,9 +337,10 @@ class QueryBroker:
         the winner — no pool is leaked and no published pool is ever
         closed while cached.
         """
-        needs_index = (
-            request.block_size is not None
-            and request.method in ("mc-vp", "os")
+        from ..kernels.wedge_block import build_wedge_index, wedge_index_fits
+
+        needs_index = request.method in ("mc-vp", "os") and (
+            wedge_index_fits(entry.graph)
         )
         stale: Optional[WorkerPool] = None
         with self._pools_lock:
@@ -350,8 +354,6 @@ class QueryBroker:
             stale.close()
         wedge_index = None
         if needs_index:
-            from ..kernels.wedge_block import build_wedge_index
-
             with self.observer.span("wedge-index", shared=True):
                 wedge_index = build_wedge_index(entry.graph)
         pool = WorkerPool(

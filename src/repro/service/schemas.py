@@ -59,8 +59,10 @@ class QueryRequest:
         delta: Failure probability of the sized guarantee.
         prepare: Preparing-phase trials (OLS variants).
         top_k: How many ranked butterflies the response carries.
-        block_size: Batched-kernel block size (``None`` = scalar loop,
-            the bit-identical-to-CLI default).
+        block_size: Batched-kernel block size.  ``None`` is the
+            method's default: the wedge kernel's default block for
+            MC-VP/OS (whose answers are the same for every block size),
+            the scalar loop for OLS/OLS-KL.
         seed: Run RNG seed.
         deadline_seconds: Per-request wall-clock budget, propagated into
             the engine's timeout degradation path.

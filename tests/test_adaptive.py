@@ -232,20 +232,23 @@ class TestAdaptiveCheckpointResume:
     """Crash-and-resume must replay the racing decisions exactly."""
 
     def test_os_adaptive(self, dominant, tmp_path):
+        # 4-trial blocks: racing checks every block from trial 64 and
+        # stops at trial 328, so the crash before block 43 (trial 169)
+        # lands mid-race.
         baseline = result_to_dict(ordering_sampling(
-            dominant, 2_000, rng=5, adaptive=FAST_RACE
+            dominant, 2_000, rng=5, adaptive=FAST_RACE, block_size=4
         ))
         path = tmp_path / "os-adaptive.json"
         with pytest.raises(InjectedCrash):
             ordering_sampling(
-                dominant, 2_000, rng=5, adaptive=FAST_RACE,
+                dominant, 2_000, rng=5, adaptive=FAST_RACE, block_size=4,
                 runtime=RuntimePolicy(
                     checkpoint_path=path, checkpoint_every=10,
                     faults=FaultPlan(crash_before_trial=43),
                 ),
             )
         resumed = ordering_sampling(
-            dominant, 2_000, rng=5, adaptive=FAST_RACE,
+            dominant, 2_000, rng=5, adaptive=FAST_RACE, block_size=4,
             runtime=RuntimePolicy(
                 checkpoint_path=path, checkpoint_every=10,
                 resume_from=path,

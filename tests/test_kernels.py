@@ -1,10 +1,10 @@
-"""Batched trial kernels: scalar/batched equivalence and blocking helpers.
+"""Batched trial kernels: kernel/oracle equivalence and blocking helpers.
 
-The acceptance bar for the kernel layer (``repro.kernels``): a batched
-run must be *equivalent* to the scalar path it replaces —
+The acceptance bar for the kernel layer (``repro.kernels``):
 
-* MC-VP and OS consume the mask matrix row-by-row, so batched results
-  are **bit-identical** to scalar results for *any* block size;
+* MC-VP and OS run only through the wedge kernel; their results are
+  **bit-identical** for *any* block size to the per-world reference
+  searches of ``tests/oracles.py`` run over the same world stream;
 * the blocked optimised estimator draws full masks (partition-invariant
   RNG consumption), so its results are identical across *all* block
   sizes, and checkpoint/resume is exact for a fixed block size;
@@ -44,13 +44,17 @@ from repro.core import (
 from repro.core.estimation import EstimationOutcome
 from repro.datasets.synthetic import random_bipartite
 from repro.errors import ConfigurationError
+from repro.graph import degree_priority, expected_degree_priority
 from repro.kernels import (
     DEFAULT_BLOCK_SIZE,
     CandidateBlockKernel,
     block_lengths,
     block_starts,
+    build_wedge_index,
+    count_wedges,
     resolve_block_size,
     trials_in_blocks,
+    wedge_index_fits,
 )
 from repro.runtime import (
     InjectedCrash,
@@ -61,6 +65,7 @@ from repro.runtime import (
 from repro.worlds import WorldSampler
 
 from .conftest import FIGURE_1_EDGES, build_graph
+from .oracles import mc_vp_oracle, os_oracle
 
 
 @pytest.fixture
@@ -182,42 +187,61 @@ class TestMaskBlock:
 
 
 class TestScalarBatchedEquivalence:
-    """Estimates, winner counts, and stats match the scalar path."""
+    """Kernel results match the per-world reference searches."""
 
-    @pytest.mark.parametrize("block_size", [1, 8, 40, 64])
+    @pytest.mark.parametrize("block_size", [None, 1, 7, 8, 40, 64])
     def test_mc_vp_bit_identical(self, graph, block_size):
-        scalar = result_to_dict(mc_vp(graph, 40, rng=7))
+        oracle = result_to_dict(mc_vp_oracle(graph, 40, rng=7))
         blocked = result_to_dict(
             mc_vp(graph, 40, rng=7, block_size=block_size)
         )
-        assert blocked == scalar
+        assert blocked == oracle
+
+    @pytest.mark.parametrize("block_size", [None, 1, 7, 64])
+    def test_mc_vp_tracked_antithetic_bit_identical(
+        self, graph, block_size
+    ):
+        knobs = dict(
+            rng=9, antithetic=True, track=[(0, 1, 1, 2)], checkpoints=7
+        )
+        oracle = result_to_dict(mc_vp_oracle(graph, 50, **knobs))
+        blocked = result_to_dict(
+            mc_vp(graph, 50, block_size=block_size, **knobs)
+        )
+        assert blocked["traces"]
+        assert blocked == oracle
 
     @pytest.mark.parametrize("block_size", [1, 7, 30])
     def test_os_bit_identical(self, graph, block_size):
-        """Everything except ``stats`` is bit-identical; the batched path
-        reports the wedge kernel scan's own work counters because the
-        scalar scan's per-edge counters have no vectorised equivalent."""
-        scalar = result_to_dict(ordering_sampling(graph, 30, rng=3))
+        """Everything except ``stats`` is bit-identical; OS reports the
+        wedge kernel scan's own work counters, which the weight-ordered
+        search's per-edge counters do not correspond to."""
+        oracle = result_to_dict(os_oracle(graph, 30, rng=3))
         blocked = result_to_dict(
             ordering_sampling(graph, 30, rng=3, block_size=block_size)
         )
         assert sorted(blocked["stats"]) == [
             "trials_pruned", "wedges_scanned"
         ]
-        del scalar["stats"], blocked["stats"]
-        assert blocked == scalar
+        del oracle["stats"], blocked["stats"]
+        assert blocked == oracle
 
     def test_os_antithetic_bit_identical(self, graph):
-        scalar = result_to_dict(
-            ordering_sampling(graph, 30, rng=9, antithetic=True)
+        oracle = result_to_dict(
+            os_oracle(
+                graph, 30, rng=9, antithetic=True, track=[(0, 1, 1, 2)],
+                checkpoints=6,
+            )
         )
         blocked = result_to_dict(
             ordering_sampling(
-                graph, 30, rng=9, antithetic=True, block_size=7
+                graph, 30, rng=9, antithetic=True, block_size=7,
+                track=[(0, 1, 1, 2)], checkpoints=6,
             )
         )
-        del scalar["stats"], blocked["stats"]
-        assert blocked == scalar
+        del oracle["stats"], blocked["stats"]
+        assert blocked["traces"]
+        assert blocked == oracle
 
     def test_ols_partition_invariant(self, graph):
         """Full-mask draws consume the RNG identically regardless of how
@@ -290,6 +314,66 @@ class TestScalarBatchedEquivalence:
             )
 
 
+class TestPerWorldFallback:
+    """Graphs whose wedge index would exceed ``INDEX_BYTES_LIMIT`` run
+    MC-VP/OS one world at a time through the reference searches: same
+    block driver, same worlds, same results, no index built."""
+
+    @pytest.fixture
+    def oversized(self, monkeypatch):
+        monkeypatch.setattr("repro.kernels.memory.INDEX_BYTES_LIMIT", 0)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("built an index over the limit")
+
+        monkeypatch.setattr(
+            "repro.core.frequency.build_wedge_index", refused
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_count_matches_built_index(self, seed):
+        graph = random_bipartite(9, 11, 40, rng=seed)
+        for priority in (
+            degree_priority(graph), expected_degree_priority(graph)
+        ):
+            assert count_wedges(graph, priority) == build_wedge_index(
+                graph, priority
+            ).n_wedges
+
+    def test_fit_follows_the_limit(self, graph, monkeypatch):
+        assert wedge_index_fits(graph)
+        monkeypatch.setattr("repro.kernels.memory.INDEX_BYTES_LIMIT", 0)
+        assert not wedge_index_fits(graph)
+
+    @pytest.mark.parametrize("block_size", [None, 1, 7])
+    def test_mc_vp_documents_identical(self, graph, oversized, block_size):
+        knobs = dict(
+            rng=9, antithetic=True, track=[(0, 1, 1, 2)], checkpoints=7
+        )
+        observer = Observer()
+        result = mc_vp(
+            graph, 50, block_size=block_size, observer=observer, **knobs
+        )
+        assert result_to_dict(result) == result_to_dict(
+            mc_vp_oracle(graph, 50, **knobs)
+        )
+        document = observer.export_document("mc-vp", "figure-1")
+        assert "kernel.trials_vectorized" not in document["counters"]
+        assert document["gauges"]["kernel.wedges"] == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_os_matches_kernel(self, oversized, seed):
+        graph = random_bipartite(7, 6, 18, rng=seed + 1)
+        knobs = dict(rng=seed, track=[(0, 1, 0, 1)], checkpoints=5)
+        per_world = result_to_dict(ordering_sampling(graph, 24, **knobs))
+        oracle = result_to_dict(os_oracle(graph, 24, **knobs))
+        assert sorted(per_world["stats"]) == [
+            "trials_pruned", "wedges_scanned"
+        ]
+        del oracle["stats"], per_world["stats"]
+        assert per_world == oracle
+
+
 class TestBlockedCheckpointResume:
     """Crash mid-run, resume, and compare bit-for-bit with a clean run
     — now at block granularity (checkpoints land on block boundaries)."""
@@ -353,6 +437,19 @@ class TestBlockedCheckpointResume:
         payload = result_to_dict(resumed)
         assert payload["stats"].pop("resumed_candidates") == 1.0
         assert payload == baseline
+
+    def test_checkpoint_every_counts_trials(self, graph, tmp_path):
+        """``checkpoint_every`` is a trial count for blocked loops too:
+        with 4-trial blocks and every=10 the snapshots land after
+        blocks 3 and 5 (12 and 20 trials), so a crash before block 7
+        leaves block 5's snapshot behind."""
+        path = tmp_path / "os.json"
+        with pytest.raises(InjectedCrash):
+            ordering_sampling(
+                graph, 40, rng=3, block_size=4,
+                runtime=_crash_policy(path, 7, every=10),
+            )
+        assert read_checkpoint(path)["completed"] == 5
 
     def test_block_size_mismatch_rejected(self, graph, tmp_path):
         path = tmp_path / "ols.json"
@@ -598,8 +695,8 @@ class TestAdaptivePrepareParity:
 
 class TestWedgeKernelProperty:
     """Satellite: property-based bit-identity of the vectorised wedge
-    kernel against the scalar per-world search — random graphs, random
-    block sizes, antithetic streams, and resume at random block
+    kernel against the per-world reference searches — random graphs,
+    random block sizes, antithetic streams, and resume at random block
     boundaries."""
 
     @settings(max_examples=15, deadline=None)
@@ -613,8 +710,8 @@ class TestWedgeKernelProperty:
         self, seed, block_size, antithetic, crash_block
     ):
         graph = random_bipartite(6, 7, 18, rng=seed)
-        scalar = result_to_dict(
-            mc_vp(graph, 24, rng=seed, antithetic=antithetic)
+        oracle = result_to_dict(
+            mc_vp_oracle(graph, 24, rng=seed, antithetic=antithetic)
         )
         blocked = result_to_dict(
             mc_vp(
@@ -622,9 +719,9 @@ class TestWedgeKernelProperty:
                 block_size=block_size,
             )
         )
-        assert blocked == scalar
+        assert blocked == oracle
         # Crash before a random block boundary, resume, and the stitched
-        # run must still equal the scalar baseline bit for bit.
+        # run must still equal the reference bit for bit.
         n_blocks = -(-24 // block_size)
         crash_at = min(crash_block, n_blocks - 1)
         with tempfile.TemporaryDirectory() as tmp:
@@ -642,7 +739,7 @@ class TestWedgeKernelProperty:
                     runtime=_resume_policy(path),
                 )
             )
-        assert resumed == scalar
+        assert resumed == oracle
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -652,10 +749,10 @@ class TestWedgeKernelProperty:
     )
     def test_os_winners_bit_identical(self, seed, block_size, antithetic):
         """OS shares the kernel with ``tie_mode="rtol"``; everything but
-        the (documented) stats carve-out matches the scalar search."""
+        the (documented) stats carve-out matches the reference search."""
         graph = random_bipartite(7, 6, 18, rng=seed + 1)
-        scalar = result_to_dict(
-            ordering_sampling(graph, 24, rng=seed, antithetic=antithetic)
+        oracle = result_to_dict(
+            os_oracle(graph, 24, rng=seed, antithetic=antithetic)
         )
         blocked = result_to_dict(
             ordering_sampling(
@@ -663,5 +760,5 @@ class TestWedgeKernelProperty:
                 block_size=block_size,
             )
         )
-        del scalar["stats"], blocked["stats"]
-        assert blocked == scalar
+        del oracle["stats"], blocked["stats"]
+        assert blocked == oracle

@@ -84,22 +84,8 @@ class TestOrderingSampling:
     def test_stats_counters(self, figure1):
         result = ordering_sampling(figure1, 50, rng=0)
         assert result.method == "os"
-        assert result.stats["edges_processed"] > 0
-        assert result.stats["angles_processed"] > 0
-
-    def test_prune_toggle_same_estimates(self, figure1):
-        pruned = ordering_sampling(figure1, 400, rng=3, prune=True)
-        unpruned = ordering_sampling(figure1, 400, rng=3, prune=False)
-        assert pruned.estimates == unpruned.estimates
-        assert (
-            pruned.stats["edges_processed"]
-            <= unpruned.stats["edges_processed"]
-        )
-
-    def test_pair_side_same_estimates(self, figure1):
-        left = ordering_sampling(figure1, 400, rng=3, pair_side="left")
-        right = ordering_sampling(figure1, 400, rng=3, pair_side="right")
-        assert left.estimates == right.estimates
+        assert result.stats["wedges_scanned"] > 0
+        assert 0 <= result.stats["trials_pruned"] <= 50
 
 
 class TestOls:
@@ -275,6 +261,6 @@ class TestMergeResults:
         a = ordering_sampling(figure1, 100, rng=1)
         b = ordering_sampling(figure1, 100, rng=2)
         merged = merge_results(a, b)
-        assert merged.stats["edges_processed"] == (
-            a.stats["edges_processed"] + b.stats["edges_processed"]
+        assert merged.stats["wedges_scanned"] == (
+            a.stats["wedges_scanned"] + b.stats["wedges_scanned"]
         )

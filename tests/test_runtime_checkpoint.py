@@ -27,6 +27,7 @@ from repro.core import (
 from repro.runtime import (
     InjectedCrash,
     LoopReport,
+    checkpoint_document,
     read_checkpoint,
     recompute_guarantee,
     require_complete,
@@ -59,14 +60,23 @@ def _resume_policy(path, every=5):
 
 
 class TestResumeDeterminism:
-    """Crash mid-run, resume, and compare bit-for-bit with a clean run."""
+    """Crash mid-run, resume, and compare bit-for-bit with a clean run.
+
+    MC-VP and OS count engine units in blocks; one-trial blocks keep
+    the crash and checkpoint points at the trial numbers named here
+    (the default block would hold the whole run)."""
 
     def test_mc_vp(self, graph, tmp_path):
         baseline = result_to_dict(mc_vp(graph, 40, rng=7))
         path = tmp_path / "mc.json"
         with pytest.raises(InjectedCrash):
-            mc_vp(graph, 40, rng=7, runtime=_crash_policy(path, 23))
-        resumed = mc_vp(graph, 40, rng=7, runtime=_resume_policy(path))
+            mc_vp(
+                graph, 40, rng=7, block_size=1,
+                runtime=_crash_policy(path, 23),
+            )
+        resumed = mc_vp(
+            graph, 40, rng=7, block_size=1, runtime=_resume_policy(path)
+        )
         assert result_to_dict(resumed) == baseline
 
     def test_os(self, graph, tmp_path):
@@ -74,10 +84,11 @@ class TestResumeDeterminism:
         path = tmp_path / "os.json"
         with pytest.raises(InjectedCrash):
             ordering_sampling(
-                graph, 40, rng=3, runtime=_crash_policy(path, 17)
+                graph, 40, rng=3, block_size=1,
+                runtime=_crash_policy(path, 17),
             )
         resumed = ordering_sampling(
-            graph, 40, rng=3, runtime=_resume_policy(path)
+            graph, 40, rng=3, block_size=1, runtime=_resume_policy(path)
         )
         assert result_to_dict(resumed) == baseline
 
@@ -91,11 +102,11 @@ class TestResumeDeterminism:
         # Odd checkpoint interval so snapshots land mid-pair.
         with pytest.raises(InjectedCrash):
             ordering_sampling(
-                graph, 30, rng=9, antithetic=True,
+                graph, 30, rng=9, antithetic=True, block_size=1,
                 runtime=_crash_policy(path, 12, every=3),
             )
         resumed = ordering_sampling(
-            graph, 30, rng=9, antithetic=True,
+            graph, 30, rng=9, antithetic=True, block_size=1,
             runtime=_resume_policy(path, every=3),
         )
         assert result_to_dict(resumed) == baseline
@@ -175,6 +186,53 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match="target"):
             ordering_sampling(graph, 99, rng=1, runtime=_resume_policy(path))
 
+    @pytest.mark.parametrize("method", ["mc-vp", "os"])
+    def test_trial_unit_checkpoint_rejected(self, graph, tmp_path, method):
+        """A checkpoint from the retired per-trial loop is refused, never
+        misread: its target, counts and sampler state would all fit a
+        one-trial-block run, so only the unit tells them apart."""
+        run = mc_vp if method == "mc-vp" else ordering_sampling
+        path = tmp_path / "legacy.json"
+        run(
+            graph, 40, rng=7, block_size=1,
+            runtime=RuntimePolicy(checkpoint_path=path),
+        )
+        state = read_checkpoint(path)["state"]
+        del state["block_size"], state["target_trials"]
+        write_checkpoint(path, checkpoint_document(
+            method=method, graph_name=graph.name, unit="trial",
+            target=40, completed=20, state=state,
+        ))
+        before = path.read_text(encoding="utf-8")
+        with pytest.raises(CheckpointError, match="unit"):
+            run(
+                graph, 40, rng=7, block_size=1,
+                runtime=_resume_policy(path),
+            )
+        assert path.read_text(encoding="utf-8") == before
+
+    @pytest.mark.parametrize("method", ["mc-vp", "os"])
+    def test_block_checkpoint_without_target_rejected(
+        self, graph, tmp_path, method
+    ):
+        """A block-unit snapshot that does not pin its trial budget (as
+        older writers left it) is refused: a 300-trial final snapshot has
+        the same block count as a 400-trial run at block size 256."""
+        run = mc_vp if method == "mc-vp" else ordering_sampling
+        path = tmp_path / "unpinned.json"
+        run(
+            graph, 300, rng=7, block_size=256,
+            runtime=RuntimePolicy(checkpoint_path=path),
+        )
+        document = read_checkpoint(path)
+        del document["state"]["target_trials"]
+        write_checkpoint(path, document)
+        with pytest.raises(CheckpointError, match="target_trials"):
+            run(
+                graph, 400, rng=7, block_size=256,
+                runtime=_resume_policy(path),
+            )
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json", encoding="utf-8")
@@ -203,7 +261,8 @@ class TestAtomicWrites:
             faults=FaultPlan(checkpoint_failures=(2, 3)),
         )
         result = mc_vp(graph, 30, rng=7)
-        faulty = mc_vp(graph, 30, rng=7, runtime=policy)
+        # One-trial blocks: checkpoints land every 5 trials.
+        faulty = mc_vp(graph, 30, rng=7, block_size=1, runtime=policy)
         # Failed writes were tolerated and the run still completed.
         assert result_to_dict(faulty) == result_to_dict(result)
         document = read_checkpoint(path)
@@ -230,6 +289,9 @@ class TestAtomicWrites:
 
 
 class TestDeadlineDegradation:
+    """Deadlines and interrupts are checked between engine units, so the
+    MC-VP/OS runs here use one-trial blocks."""
+
     def _ticking_clock(self, step):
         state = {"now": 0.0}
 
@@ -243,7 +305,9 @@ class TestDeadlineDegradation:
         policy = RuntimePolicy(
             timeout_seconds=10.0, clock=self._ticking_clock(1.0)
         )
-        result = ordering_sampling(graph, 1000, rng=5, runtime=policy)
+        result = ordering_sampling(
+            graph, 1000, rng=5, block_size=1, runtime=policy
+        )
         assert result.degraded
         assert result.degraded_reason == "deadline"
         assert 0 < result.n_trials < 1000
@@ -261,7 +325,9 @@ class TestDeadlineDegradation:
         policy = RuntimePolicy(
             timeout_seconds=10.0, clock=self._ticking_clock(1.0)
         )
-        result = ordering_sampling(graph, 1000, rng=5, runtime=policy)
+        result = ordering_sampling(
+            graph, 1000, rng=5, block_size=1, runtime=policy
+        )
         # Winner frequencies must divide by achieved trials, not target.
         total = sum(result.estimates.values())
         assert total <= len(result.estimates) * 1.0
@@ -288,7 +354,9 @@ class TestDeadlineDegradation:
         policy = RuntimePolicy(
             faults=FaultPlan(interrupt_before_trial=8)
         )
-        result = ordering_sampling(graph, 100, rng=5, runtime=policy)
+        result = ordering_sampling(
+            graph, 100, rng=5, block_size=1, runtime=policy
+        )
         assert result.degraded
         assert result.degraded_reason == "interrupted"
         assert result.n_trials == 7
@@ -308,7 +376,9 @@ class TestDegradedSerialisation:
         policy = RuntimePolicy(
             faults=FaultPlan(interrupt_before_trial=10)
         )
-        result = ordering_sampling(graph, 100, rng=5, runtime=policy)
+        result = ordering_sampling(
+            graph, 100, rng=5, block_size=1, runtime=policy
+        )
         target = tmp_path / "degraded.json"
         save_result(result, target)
         loaded = load_result(target, graph)

@@ -121,8 +121,8 @@ class TestInterrupt:
             return 0.0
 
         # With a timeout set, the engine consults the deadline clock
-        # before every trial; raising from it lands the interrupt
-        # mid-sampling without touching real signals.
+        # before every block (8 trials here); raising from it lands the
+        # interrupt mid-sampling without touching real signals.
         monkeypatch.setattr(
             cli, "_search_policy",
             lambda args: RuntimePolicy(
@@ -131,7 +131,7 @@ class TestInterrupt:
         )
         code = cli.main([
             "search", graph_file, "--method", "os",
-            "--trials", "500", "--seed", "3",
+            "--trials", "500", "--seed", "3", "--block-size", "8",
         ])
         captured = capsys.readouterr()
         assert code == 130
@@ -168,7 +168,7 @@ class TestSigterm:
         )
         code = cli.main([
             "search", graph_file, "--method", "os",
-            "--trials", "500", "--seed", "3",
+            "--trials", "500", "--seed", "3", "--block-size", "8",
         ])
         captured = capsys.readouterr()
         assert code == 143
@@ -239,7 +239,7 @@ class TestRuntimeFlags:
         checkpoint = tmp_path / "search.ckpt.json"
         code = cli.main([
             "search", graph_file, "--method", "os",
-            "--trials", "40", "--seed", "3",
+            "--trials", "40", "--seed", "3", "--block-size", "1",
             "--checkpoint", str(checkpoint), "--checkpoint-every", "10",
         ])
         first = capsys.readouterr().out
@@ -250,7 +250,7 @@ class TestRuntimeFlags:
 
         code = cli.main([
             "search", graph_file, "--method", "os",
-            "--trials", "40", "--seed", "99",
+            "--trials", "40", "--seed", "99", "--block-size", "1",
             "--resume", str(checkpoint),
         ])
         second = capsys.readouterr().out

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from functools import reduce
+
 import pytest
 
 from repro import FaultPlan, WorkerFailureError
-from repro.core import result_to_dict
+from repro.core import merge_results, ordering_sampling, result_to_dict
 from repro.runtime import backoff_seconds, run_parallel_trials, split_trials
 from repro.sampling.bounds import achievable_epsilon
+from repro.sampling.rng import spawn_rngs
 
 from .conftest import FIGURE_1_EDGES, build_graph
 
@@ -163,3 +167,70 @@ class TestDeterminism:
         result = run_parallel_trials(graph, 2, 4, method="os", rng=9)
         assert result.n_trials == 2
         assert result.stats["worker_attempts"] == 2.0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs forked workers to inherit the patched builder",
+    )
+    def test_blockless_pool_attaches_shared_index(self, graph, monkeypatch):
+        """An OS pool without a block size runs the wedge kernel, so it
+        must publish the wedge index and its workers must attach it:
+        forked workers inherit a builder that fails if called, and the
+        pool still equals the single-process runs of its shards."""
+        shards = [
+            ordering_sampling(graph, share, rng=stream)
+            for share, stream in zip(
+                split_trials(40, 2), spawn_rngs(9, 3)
+            )
+        ]
+        expected = result_to_dict(reduce(merge_results, shards))
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("worker rebuilt the wedge index")
+
+        monkeypatch.setattr(
+            "repro.core.frequency.build_wedge_index", rebuilt
+        )
+        pooled = run_parallel_trials(
+            graph, 40, 2, method="os", rng=9, mp_context="fork",
+            max_attempts=1,
+        )
+        payload = result_to_dict(pooled)
+        for key in ("workers_total", "workers_dropped", "worker_attempts"):
+            del payload["stats"][key]
+        assert payload == expected
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs forked workers to inherit the patched limit",
+    )
+    def test_oversized_index_is_not_published(self, graph, monkeypatch):
+        """A graph whose wedge index would exceed the memory limit gets
+        no shared index; the forked workers search world by world and
+        the pool still equals the single-process runs of its shards."""
+        monkeypatch.setattr("repro.kernels.memory.INDEX_BYTES_LIMIT", 0)
+        shards = [
+            ordering_sampling(graph, share, rng=stream)
+            for share, stream in zip(
+                split_trials(40, 2), spawn_rngs(9, 3)
+            )
+        ]
+        expected = result_to_dict(reduce(merge_results, shards))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("built an index over the limit")
+
+        monkeypatch.setattr(
+            "repro.kernels.wedge_block.build_wedge_index", refused
+        )
+        monkeypatch.setattr(
+            "repro.core.frequency.build_wedge_index", refused
+        )
+        pooled = run_parallel_trials(
+            graph, 40, 2, method="os", rng=9, mp_context="fork",
+            max_attempts=1,
+        )
+        payload = result_to_dict(pooled)
+        for key in ("workers_total", "workers_dropped", "worker_attempts"):
+            del payload["stats"][key]
+        assert payload == expected

@@ -466,6 +466,34 @@ class TestBroker:
         assert "straggler_timeout" not in captured
         assert "max_attempts" not in captured
 
+    def test_oversized_index_pool_is_reused(self, monkeypatch):
+        """A graph whose wedge index would not fit gets an index-less
+        pool, which later OS requests reuse instead of republishing."""
+        monkeypatch.setattr("repro.kernels.memory.INDEX_BYTES_LIMIT", 0)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("built an index over the limit")
+
+        monkeypatch.setattr(
+            "repro.kernels.wedge_block.build_wedge_index", refused
+        )
+        registry = GraphRegistry(["abide"])
+        registry.load_all()
+        observer = Observer()
+        broker = QueryBroker(registry, observer=observer)
+        try:
+            for seed in (7, 8):
+                response = broker.handle(
+                    _request(workers=2, seed=seed, use_cache=False)
+                )
+                assert response.status == "ok"
+        finally:
+            broker.close()
+        counters = observer.export_document("t", "t")["counters"]
+        # One publication; both requests ran on that pool.
+        assert counters["worker.shm.published"] == 1.0
+        assert counters["worker.shm.reused"] == 2.0
+
     def test_transient_worker_failure_is_retried(self):
         registry = GraphRegistry(["abide"])
         registry.load_all()
