@@ -45,7 +45,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.candidates import CandidateSet
-from ..kernels.wedge_block import WedgeIndex, build_wedge_index
+from ..kernels.wedge_block import wedge_index_for
 from ..observability import Observer, ensure_observer
 from ..sampling import RngLike, ensure_rng
 from .intervals import EBInterval, split_delta
@@ -119,7 +119,6 @@ def prescreen_candidates(
     rng: RngLike = None,
     n_samples: int = 2048,
     delta: float = 0.025,
-    wedge_index: Optional[WedgeIndex] = None,
     observer: Optional[Observer] = None,
 ) -> PrescreenReport:
     """Drop dominated candidates before any estimator runs.
@@ -128,14 +127,15 @@ def prescreen_candidates(
         candidates: The weight-sorted candidate set ``C_MB``.
         rng: Seed or generator for the wedge-pair draws.
         n_samples: Wedge-pair samples for the full-graph heavier-mass
-            bound (0 disables sampling; the exact candidate-prefix
-            bound still applies).
+            bound, drawn from the graph's wedge index
+            (:func:`~repro.kernels.wedge_block.wedge_index_for`).  0
+            disables sampling, and so does an index that would not fit
+            in memory; the exact candidate-prefix bound still applies.
         delta: Failure budget of the pre-screen's sampled bounds (split
             per candidate by a union bound).
-        wedge_index: Optional prebuilt wedge-CSR index; built from the
-            candidate graph when absent and sampling is enabled.
         observer: Optional observer; records
-            ``adaptive.prescreen.samples``.
+            ``adaptive.prescreen.samples`` and the ``wedge-index`` span
+            of a first-use build.
 
     Returns:
         A :class:`PrescreenReport`; with fewer than two candidates the
@@ -162,11 +162,12 @@ def prescreen_candidates(
 
     sampled_upper = [float("inf")] * m
     samples_drawn = 0
-    if n_samples > 0:
-        graph = candidates.graph
-        if wedge_index is None:
-            wedge_index = build_wedge_index(graph)
-        sizes = np.diff(wedge_index.group_start).astype(np.int64)
+    graph = candidates.graph
+    wedge_index = (
+        wedge_index_for(graph, observer=observer) if n_samples > 0 else None
+    )
+    if wedge_index is not None:
+        sizes = np.diff(wedge_index.group_start)
         pair_counts = sizes * (sizes - 1) // 2
         total_pairs = int(pair_counts.sum())
         if total_pairs > 0:

@@ -578,11 +578,12 @@ def adaptive_karp_luby(
     pre_lower: List[float] = []
     pre_eliminated: List[int] = []
     if use_prescreen:
-        report = prescreen_candidates(
-            candidates, generator,
-            n_samples=config.prescreen_samples,
-            delta=delta_pre, observer=observer,
-        )
+        with observer.span("prescreen", candidates=m):
+            report = prescreen_candidates(
+                candidates, generator,
+                n_samples=config.prescreen_samples,
+                delta=delta_pre, observer=observer,
+            )
         pre_eliminated = report.eliminated
         pre_lower = report.lower_bounds
 

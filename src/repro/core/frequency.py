@@ -22,22 +22,18 @@ import numpy as np
 
 from ..butterfly import Butterfly, ButterflyKey
 from ..butterfly.model import make_butterfly
-from ..errors import CheckpointError, ConfigurationError
-from ..graph import (
-    UncertainBipartiteGraph,
-    degree_priority,
-    expected_degree_priority,
-)
+from ..errors import CheckpointError
+from ..graph import UncertainBipartiteGraph
 from ..kernels import (
     WedgeBlockKernel,
-    WedgeIndex,
     block_lengths,
     block_starts,
-    build_wedge_index,
+    check_block_pins,
     resolve_block_budget,
     resolve_block_size,
-    wedge_index_fits,
+    wedge_index_for,
 )
+from ..kernels.wedge_block import PRIORITIES
 from ..observability import Observer, ensure_observer
 from ..observability.profiling import stopwatch
 from ..runtime.degradation import recompute_guarantee
@@ -70,12 +66,6 @@ WorldSearch = Callable[
 #: Histogram bucket edges for the per-trial winner-set size (``|S_MB|``
 #: is 0 or a small count on real networks; ties inflate it on grids).
 WINNER_BUCKET_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0)
-
-#: Vertex-priority builders by ``priority_kind``.
-PRIORITIES = {
-    "degree": degree_priority,
-    "expected-degree": expected_degree_priority,
-}
 
 
 class WinnerFrequencyLoop:
@@ -150,20 +140,7 @@ class WinnerFrequencyLoop:
         }
 
     def restore_state(self, payload: Dict) -> None:
-        # The engine checks the target in blocks, and two trial budgets
-        # can share a block count, so the payload pins both; a snapshot
-        # without them cannot prove it matches and is refused.
-        for key, want in (
-            ("target_trials", self.n_trials),
-            ("block_size", self.block_size),
-        ):
-            have = payload.get(key)
-            if have is None or int(have) != want:
-                raise CheckpointError(
-                    f"checkpoint {key} mismatch: snapshot has {have}, "
-                    f"this run expects {want} — resume with the trial "
-                    "budget and block size the checkpoint was written at"
-                )
+        check_block_pins(payload, self.n_trials, self.block_size)
         self.counts.clear()
         self.butterflies.clear()
         for raw_key, count in payload["counts"]:
@@ -204,7 +181,6 @@ def run_winner_frequency(
     antithetic: bool = False,
     block_size: Optional[int] = None,
     bytes_budget: Optional[int] = None,
-    wedge_index: Optional[WedgeIndex] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
     adaptive=None,
@@ -213,36 +189,21 @@ def run_winner_frequency(
 
     ``method`` names the result and checkpoints, ``tie_mode`` is the
     kernel's winner tie rule, ``priority_kind`` the wedge index's vertex
-    ranking (a key of :data:`PRIORITIES`), and ``evaluate`` folds each
-    block's kernel outcome into the zeroed ``stats``.  When the graph's
-    wedge index would exceed
+    ranking (a key of :data:`~repro.kernels.wedge_block.PRIORITIES`),
+    and ``evaluate`` folds each block's kernel outcome into the zeroed
+    ``stats``.  The graph's wedge index comes from
+    :func:`~repro.kernels.wedge_block.wedge_index_for`, built on the
+    first call per graph; when it would exceed
     :data:`~repro.kernels.memory.INDEX_BYTES_LIMIT` (jester and protein
     at paper size), ``search`` evaluates each world of the block
     instead — same worlds, same winner sets.  The remaining arguments
     are documented on :func:`~repro.core.mc_vp.mc_vp`.
     """
     observer = ensure_observer(observer)
-    if priority_kind not in PRIORITIES:
-        raise ConfigurationError(
-            f"priority_kind must be one of {tuple(PRIORITIES)}, "
-            f"got {priority_kind!r}"
-        )
     sampler = WorldSampler(graph, ensure_rng(rng), antithetic=antithetic)
     with observer.span("sampling", method=method), stopwatch() as timer:
         block = resolve_block_size(n_trials, block_size)
-        with observer.span("wedge-index"):
-            if (
-                wedge_index is None
-                or wedge_index.priority_kind != priority_kind
-            ):
-                priority = PRIORITIES[priority_kind](graph)
-                wedge_index = (
-                    build_wedge_index(
-                        graph, priority, priority_kind=priority_kind
-                    )
-                    if wedge_index_fits(graph, priority)
-                    else None
-                )
+        wedge_index = wedge_index_for(graph, priority_kind, observer)
         if wedge_index is not None:
             kernel = WedgeBlockKernel(graph, wedge_index, tie_mode=tie_mode)
             vectorized = observer.metrics.counter("kernel.trials_vectorized")
@@ -253,6 +214,7 @@ def run_winner_frequency(
                 return evaluate(kernel, masks, stats)
         else:
             n_wedges = n_groups = 0
+            priority = PRIORITIES[priority_kind](graph)
 
             def block_fn(masks: np.ndarray) -> List[List[Butterfly]]:
                 return [search(graph, mask, priority, stats) for mask in masks]

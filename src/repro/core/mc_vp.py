@@ -8,8 +8,8 @@ priority — it generates and stores every angle and inspects every
 butterfly, which is exactly the cost profile the paper's Section V
 optimisations remove.
 
-The per-world enumeration runs as the vectorised wedge kernel over a
-once-built backbone wedge index, through the winner-frequency driver
+The per-world enumeration runs as the vectorised wedge kernel over the
+backbone wedge index (built once per graph), through the winner-frequency driver
 shared with OS (:mod:`repro.core.frequency`); its winner sets and
 counters equal the nested-loop enumeration's
 (:func:`~repro.butterfly.bfc_vp.max_weight_butterflies_enumerated`),
@@ -29,7 +29,7 @@ from ..butterfly import (
     max_weight_butterflies_enumerated,
 )
 from ..graph import UncertainBipartiteGraph
-from ..kernels import WedgeBlockKernel, WedgeIndex
+from ..kernels import WedgeBlockKernel
 from ..observability import Observer
 from ..runtime.policy import RuntimePolicy
 from ..sampling import RngLike
@@ -47,7 +47,6 @@ def mc_vp(
     priority_kind: str = "degree",
     block_size: Optional[int] = None,
     bytes_budget: Optional[int] = None,
-    wedge_index: Optional[WedgeIndex] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
     adaptive=None,
@@ -75,10 +74,6 @@ def mc_vp(
         bytes_budget: Peak working-set bytes one kernel block may use
             (``None`` uses the 64 MiB default); the effective block
             size is shrunk to fit, which is semantically free.
-        wedge_index: Optional prebuilt
-            :class:`~repro.kernels.wedge_block.WedgeIndex` (e.g. one
-            attached from shared memory by the worker pool); reused
-            only when its ``priority_kind`` matches, rebuilt otherwise.
         priority_kind: Vertex-priority ranking — ``"degree"`` (the
             paper's BFC-VP order) or ``"expected-degree"`` (rank by
             ``d̄(u) = Σ p(e)``, the quantity Lemma IV.1's cost is
@@ -113,8 +108,7 @@ def mc_vp(
         track=track,
         checkpoints=checkpoints, antithetic=antithetic,
         block_size=block_size, bytes_budget=bytes_budget,
-        wedge_index=wedge_index, runtime=runtime, observer=observer,
-        adaptive=adaptive,
+        runtime=runtime, observer=observer, adaptive=adaptive,
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..butterfly import Butterfly, ButterflyKey, max_weight_butterflies
 from ..graph import UncertainBipartiteGraph
-from ..kernels import WedgeBlockKernel, WedgeIndex
+from ..kernels import WedgeBlockKernel
 from ..observability import Observer, ensure_observer
 from ..runtime.policy import RuntimePolicy
 from ..sampling import RngLike
@@ -56,7 +56,6 @@ def ordering_sampling(
     antithetic: bool = False,
     block_size: Optional[int] = None,
     bytes_budget: Optional[int] = None,
-    wedge_index: Optional[WedgeIndex] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
     adaptive=None,
@@ -82,10 +81,6 @@ def ordering_sampling(
         bytes_budget: Peak working-set bytes one kernel block may use
             (``None`` uses the 64 MiB default); the effective block
             size is shrunk to fit.
-        wedge_index: Optional prebuilt
-            :class:`~repro.kernels.wedge_block.WedgeIndex` (e.g. one
-            attached from shared memory by the worker pool); reused
-            only when built with degree priorities, rebuilt otherwise.
         runtime: Optional :class:`~repro.runtime.policy.RuntimePolicy`
             enabling checkpoint/resume, deadlines, and graceful
             degradation for the trial loop.
@@ -123,8 +118,7 @@ def ordering_sampling(
         track=track,
         checkpoints=checkpoints, antithetic=antithetic,
         block_size=block_size, bytes_budget=bytes_budget,
-        wedge_index=wedge_index, runtime=runtime, observer=observer,
-        adaptive=adaptive,
+        runtime=runtime, observer=observer, adaptive=adaptive,
     )
 
 

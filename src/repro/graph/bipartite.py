@@ -14,7 +14,7 @@ indices and the result types translate back to labels on demand.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,7 @@ class UncertainBipartiteGraph:
         "_adj_right",
         "_edge_lookup",
         "_weight_order",
+        "_wedge_indexes",
         "_name",
     )
 
@@ -82,6 +83,7 @@ class UncertainBipartiteGraph:
         self._adj_right: List[List[AdjEntry]] | None = None
         self._edge_lookup: Dict[Tuple[int, int], int] | None = None
         self._weight_order: np.ndarray | None = None
+        self._wedge_indexes: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -327,6 +329,14 @@ class UncertainBipartiteGraph:
             self._weight_order = np.argsort(-self._weights, kind="stable")
             self._weight_order.flags.writeable = False
         return self._weight_order
+
+    @property
+    def wedge_indexes(self) -> Dict[str, Any]:
+        """Per-priority wedge-index memo, filled on first use by
+        :func:`repro.kernels.wedge_block.wedge_index_for` (``None``
+        records an index that would not fit in memory).  It lives and
+        dies with this graph object."""
+        return self._wedge_indexes
 
     def top_weight_sum(self, k: int = 3) -> float:
         """Sum of the ``k`` largest edge weights (``w̄`` with ``k=3``).

@@ -8,7 +8,8 @@ MC-VP and OS always run through it; OLS and OLS-KL do when given a
 - MC-VP / OS: the winner-frequency driver
   (:mod:`repro.core.frequency`) draws one mask matrix per block and
   hands the whole matrix to the vectorised wedge kernel
-  (:class:`WedgeBlockKernel` over a once-built :class:`WedgeIndex`),
+  (:class:`WedgeBlockKernel` over the graph's :class:`WedgeIndex`,
+  built once per graph by :func:`wedge_index_for`),
   whose per-world winner sets are bit-identical to the scalar search.
 - OLS: :class:`BlockedOptimizedLoop` + :class:`CandidateBlockKernel`
   replace the per-trial candidate walk with gather/reduce/argmax.
@@ -26,6 +27,7 @@ from .blocks import (
     DEFAULT_BLOCK_SIZE,
     block_lengths,
     block_starts,
+    check_block_pins,
     resolve_block_size,
     trials_in_blocks,
 )
@@ -44,6 +46,7 @@ from .wedge_block import (
     count_wedges,
     first_all_present,
     wedge_index_fits,
+    wedge_index_for,
 )
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
     "block_lengths",
     "block_starts",
     "build_wedge_index",
+    "check_block_pins",
     "count_wedges",
     "first_all_present",
     "kernel_row_bytes",
@@ -65,4 +69,5 @@ __all__ = [
     "resolve_block_size",
     "trials_in_blocks",
     "wedge_index_fits",
+    "wedge_index_for",
 ]

@@ -15,9 +15,9 @@ deadline-stopped runs normalise their estimates over
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..errors import ConfigurationError
+from ..errors import CheckpointError, ConfigurationError
 
 #: Default trials per vectorised block.  Large enough to amortise the
 #: Python dispatch of one kernel call over hundreds of trials, small
@@ -86,3 +86,28 @@ def block_starts(lengths: Sequence[int]) -> List[int]:
         starts.append(total)
         total += length
     return starts
+
+
+def check_block_pins(
+    payload: Dict, target_trials: int, block_size: int
+) -> None:
+    """Refuse a blocked-loop snapshot written at another schedule.
+
+    The engine checks the target in blocks, and two trial budgets can
+    share a block count, so a snapshot pins both its trial budget and
+    its block size; one without them cannot prove it matches.
+
+    Raises:
+        CheckpointError: When either pin is missing or differs.
+    """
+    for key, want in (
+        ("target_trials", target_trials),
+        ("block_size", block_size),
+    ):
+        have = payload.get(key)
+        if have is None or int(have) != want:
+            raise CheckpointError(
+                f"checkpoint {key} mismatch: snapshot has {have}, "
+                f"this run expects {want} — resume with the trial "
+                "budget and block size the checkpoint was written at"
+            )

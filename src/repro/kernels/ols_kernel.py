@@ -32,7 +32,12 @@ from ..errors import CheckpointError
 from ..observability import Observer, ensure_observer
 from ..sampling import ConvergenceTrace, checkpoint_schedule
 from ..worlds import WorldSampler
-from .blocks import block_lengths, block_starts, trials_in_blocks
+from .blocks import (
+    block_lengths,
+    block_starts,
+    check_block_pins,
+    trials_in_blocks,
+)
 
 
 class CandidateBlockKernel:
@@ -110,6 +115,7 @@ class BlockedOptimizedLoop:
         self.sampler = sampler
         self.items = candidates.butterflies
         self.kernel = CandidateBlockKernel(candidates)
+        self.n_target = n_target
         self.block_size = int(block_size)
         self.lengths = block_lengths(n_target, block_size)
         self.starts = block_starts(self.lengths)
@@ -184,6 +190,7 @@ class BlockedOptimizedLoop:
             "edges_sampled": int(self.edges_sampled),
             "edges_queried": int(self.edges_queried),
             "block_size": self.block_size,
+            "target_trials": self.n_target,
             "traces": {
                 "|".join(map(str, key)): [
                     [n, value] for n, value in trace.checkpoints
@@ -202,13 +209,7 @@ class BlockedOptimizedLoop:
                 "checkpointed candidate set does not match the current "
                 f"candidate set ({len(keys)} vs {len(current)} candidates)"
             )
-        snapshot_block = int(payload.get("block_size", self.block_size))
-        if snapshot_block != self.block_size:
-            raise CheckpointError(
-                f"checkpoint was written at block_size={snapshot_block}; "
-                f"this run uses block_size={self.block_size} — the "
-                "batched equivalence contract is per block size"
-            )
+        check_block_pins(payload, self.n_target, self.block_size)
         self.counts = np.asarray(
             [int(count) for count in payload["counts"]], dtype=np.int64
         )

@@ -43,12 +43,29 @@ from ..butterfly import Butterfly
 from ..butterfly.bfc_vp import assemble_butterfly, global_adjacency
 from ..butterfly.max_weight import WEIGHT_RTOL, weights_equal
 from ..errors import ConfigurationError
-from ..graph import UncertainBipartiteGraph, degree_priority
+from ..graph import (
+    UncertainBipartiteGraph,
+    degree_priority,
+    expected_degree_priority,
+)
+from ..observability import Observer, ensure_observer
 from . import memory
 from .memory import SCAN_CHUNK, WEDGE_CHUNK
 
 #: Winner tie semantics the kernel can reproduce (see docs/kernels.md).
 TIE_MODES = ("exact", "rtol")
+
+#: Vertex-priority builders by ``priority_kind``.
+PRIORITIES = {
+    "degree": degree_priority,
+    "expected-degree": expected_degree_priority,
+}
+
+#: Dtype of the index's per-wedge and per-group id arrays: edge and
+#: vertex ids, and wedge positions (an index that fits
+#: :data:`~repro.kernels.memory.INDEX_BYTES_LIMIT` holds ~8.4M wedges).
+#: CSR pointers stay int64 and weights float64.
+INDEX_ID_DTYPE = np.int32
 
 #: Safety factor applied to :data:`WEIGHT_RTOL` when collecting winner
 #: candidates.  The group scan compares wedge-pair *sums*, which differ
@@ -69,7 +86,9 @@ class WedgeIndex:
 
     Index order (all groups, singletons included — they contribute
     angles to the MC-VP counters even though they cannot form
-    butterflies):
+    butterflies).  Id arrays (``wedge_mid``, ``wedge_e1``/``wedge_e2``,
+    ``group_x``/``group_z``, ``scan_wedge``, ``scan_e1``/``scan_e2``)
+    are :data:`INDEX_ID_DTYPE`; CSR pointers are int64, weights float64.
 
     Attributes:
         priority: The vertex-priority permutation the index was built
@@ -340,28 +359,70 @@ def build_wedge_index(
     if budget:
         chunks.append((lo, len(scan_order)))
 
+    def ids(array: np.ndarray) -> np.ndarray:
+        return array.astype(INDEX_ID_DTYPE)
+
     return WedgeIndex(
         priority=priority,
         priority_kind=priority_kind,
-        wedge_mid=mids,
-        wedge_e1=wedge_e1,
-        wedge_e2=wedge_e2,
+        wedge_mid=ids(mids),
+        wedge_e1=ids(wedge_e1),
+        wedge_e2=ids(wedge_e2),
         wedge_weight=wedge_weight,
         group_start=group_start,
-        group_x=xs,
-        group_z=zs,
+        group_x=ids(xs),
+        group_z=ids(zs),
         scan_order=scan_order,
         scan_bound=scan_bound,
-        scan_wedge=scan_wedge,
+        scan_wedge=ids(scan_wedge),
         scan_start=scan_start,
-        scan_e1=wedge_e1[scan_wedge],
-        scan_e2=wedge_e2[scan_wedge],
+        scan_e1=ids(wedge_e1[scan_wedge]),
+        scan_e2=ids(wedge_e2[scan_wedge]),
         scan_w=(
             wedge_weight[scan_wedge]
             if scan_wedge.size else np.zeros(0, dtype=np.float64)
         ),
         chunks=tuple(chunks),
     )
+
+
+def wedge_index_for(
+    graph: UncertainBipartiteGraph,
+    priority_kind: str = "degree",
+    observer: Optional[Observer] = None,
+) -> Optional[WedgeIndex]:
+    """The graph's wedge index for ``priority_kind``, built on first use.
+
+    The wedge set depends on the backbone alone, so the index belongs
+    to the graph: the first call ranks the vertices, checks
+    :func:`wedge_index_fits` and builds, inside a ``wedge-index`` span;
+    every later call returns the memoised answer from
+    :attr:`~repro.graph.UncertainBipartiteGraph.wedge_indexes` —
+    ``None`` when the index would not fit, in which case MC-VP/OS
+    search world by world.  Two threads racing a first use may both
+    build; ``setdefault`` publishes one result to both.
+
+    Raises:
+        ConfigurationError: On an unknown ``priority_kind``.
+    """
+    if priority_kind not in PRIORITIES:
+        raise ConfigurationError(
+            f"priority_kind must be one of {tuple(PRIORITIES)}, "
+            f"got {priority_kind!r}"
+        )
+    memo = graph.wedge_indexes
+    if priority_kind in memo:
+        return memo[priority_kind]
+    with ensure_observer(observer).span(
+        "wedge-index", priority_kind=priority_kind
+    ):
+        priority = PRIORITIES[priority_kind](graph)
+        index = (
+            build_wedge_index(graph, priority, priority_kind=priority_kind)
+            if wedge_index_fits(graph, priority)
+            else None
+        )
+    return memo.setdefault(priority_kind, index)
 
 
 @dataclass

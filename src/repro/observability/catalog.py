@@ -160,7 +160,8 @@ SPANS: Tuple[SpanSpec, ...] = (
     SpanSpec("graph-load", "dataset/graph construction"),
     SpanSpec("edge-ordering", "Alg. 2 weight-ordered edge index build"),
     SpanSpec("wedge-index",
-             "vectorised kernel wedge-CSR build (or shared reuse)"),
+             "first-use wedge-CSR build of one graph (cache miss)"),
+    SpanSpec("prescreen", "adaptive OLS-KL candidate pre-screen"),
     SpanSpec("candidate-generation",
              "OLS preparing phase (Alg. 3 lines 2-4)"),
     SpanSpec("sampling", "the Monte-Carlo trial phase"),

@@ -13,10 +13,11 @@ replaces that with a publish-once/attach-many protocol built on
   seam; the MPS001/PKL001 analyzer rules enforce that no raw buffer or
   array ever does.
 * :func:`attach_shared_graph` runs inside a worker: it opens the
-  segment by name and reconstructs the graph (and wedge index) as
-  zero-copy read-only NumPy views over the shared mapping, so a
-  persistent worker pays the attachment cost once and every task after
-  that touches the same physical pages as its siblings.
+  segment by name and reconstructs the graph (and wedge index, seeded
+  into the graph's wedge-index memo) as zero-copy read-only NumPy views
+  over the shared mapping, so a persistent worker pays the attachment
+  cost once and every task after that touches the same physical pages
+  as its siblings.
 
 Segments are versioned by :func:`graph_checksum` (the same SHA-256 the
 service registry validates artifacts with), which is how
@@ -266,6 +267,11 @@ class SharedGraphAttachment:
                         if name != "priority"
                     },
                     priority=views["index.priority"],
+                )
+                # Seed the graph's memo: MC-VP/OS tasks of this priority
+                # kind then find the shared index instead of rebuilding.
+                self.graph.wedge_indexes[index_meta["priority_kind"]] = (
+                    self.index
                 )
         except BaseException:
             # A stale handle (wrong specs, truncated segment, garbled

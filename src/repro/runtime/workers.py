@@ -155,19 +155,6 @@ def backoff_seconds(
     return delay * fraction
 
 
-def _wants_shared_index(method: str, method_kwargs: Dict) -> bool:
-    """Whether a task would consume the pool's shared wedge index.
-
-    The index is built with the default ``"degree"`` priority; a caller
-    overriding ``priority_kind`` gets a worker-local rebuild instead of
-    a silently mismatched shared index.
-    """
-    return (
-        method in _INDEXED_METHODS
-        and method_kwargs.get("priority_kind", "degree") == "degree"
-    )
-
-
 def _persistent_worker_main(
     worker_id: int, conn, handle: SharedGraphHandle
 ) -> None:
@@ -207,16 +194,11 @@ def _persistent_worker_main(
                 # "hang" fault; routing it through an injectable clock
                 # would defeat the chaos harness.
                 time.sleep(HANG_SECONDS)  # repro: noqa[CLK002]
-            method_kwargs = dict(task["method_kwargs"])
-            if attachment.index is not None and _wants_shared_index(
-                task["method"], method_kwargs
-            ):
-                method_kwargs["wedge_index"] = attachment.index
             observer = Observer() if task["instrument"] else None
             result = find_mpmb(
                 attachment.graph, method=task["method"],
                 n_trials=task["n_trials"], rng=task["rng"],
-                observer=observer, **method_kwargs,
+                observer=observer, **task["method_kwargs"],
             )
             payload = {
                 "result": result_to_dict(result),
@@ -403,9 +385,9 @@ def run_parallel_trials(
             through the batched kernel layer; ``None`` shards single
             trials and leaves each worker's method at its default (the
             wedge kernel's default block for MC-VP/OS, the scalar loop
-            for OLS).  MC-VP/OS pools build the wedge-CSR index once on
-            the coordinator and publish it into the shared segment, so
-            workers skip the per-process build.
+            for OLS).  MC-VP/OS pools publish the graph's wedge-CSR
+            index (built on first use per graph) into the shared
+            segment, so workers skip the per-process build.
         observer: Optional :class:`~repro.observability.Observer`.  When
             given, each worker records its own metrics/spans in-process
             and ships them with its result; the coordinator merges the
@@ -469,15 +451,13 @@ def run_parallel_trials(
     owns_pool = pool is None
     if pool is None:
         wedge_index = None
-        if _wants_shared_index(method, method_kwargs):
-            from ..kernels.wedge_block import (
-                build_wedge_index,
-                wedge_index_fits,
-            )
+        if method in _INDEXED_METHODS:
+            from ..kernels.wedge_block import wedge_index_for
 
-            with observer.span("wedge-index", shared=True):
-                if wedge_index_fits(graph):
-                    wedge_index = build_wedge_index(graph)
+            wedge_index = wedge_index_for(
+                graph, method_kwargs.get("priority_kind", "degree"),
+                observer,
+            )
         pool = WorkerPool(
             graph, mp_context=mp_context, wedge_index=wedge_index,
             observer=observer,

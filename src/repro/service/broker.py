@@ -325,11 +325,13 @@ class QueryBroker:
         processes (``worker.shm.reused``).  A checksum change (reload)
         or an MC-VP/OS request against an index-less pool (on a graph
         whose wedge index fits in memory) tears the pool down and
-        republishes.
+        republishes.  The published index is the graph's own, built on
+        first use by :func:`~repro.kernels.wedge_block.wedge_index_for`
+        and shared with the single-process requests.
 
         Thread safety: concurrent pooled requests race on the pool
         map, so it is only touched under ``_pools_lock`` — but never
-        across the slow parts (closing a stale pool, building the
+        across the slow parts (closing a stale pool, resolving the
         wedge index, publishing shared memory, spawning workers).
         Two threads may therefore build pools for the same dataset
         concurrently; the second publisher re-checks the map and, if
@@ -337,11 +339,13 @@ class QueryBroker:
         the winner — no pool is leaked and no published pool is ever
         closed while cached.
         """
-        from ..kernels.wedge_block import build_wedge_index, wedge_index_fits
+        from ..kernels.wedge_block import wedge_index_for
 
-        needs_index = request.method in ("mc-vp", "os") and (
-            wedge_index_fits(entry.graph)
+        wedge_index = (
+            wedge_index_for(entry.graph, observer=self.observer)
+            if request.method in ("mc-vp", "os") else None
         )
+        needs_index = wedge_index is not None
         stale: Optional[WorkerPool] = None
         with self._pools_lock:
             cached = self._pools.get(request.dataset)
@@ -352,10 +356,6 @@ class QueryBroker:
                 stale = cached[1]
         if stale is not None:
             stale.close()
-        wedge_index = None
-        if needs_index:
-            with self.observer.span("wedge-index", shared=True):
-                wedge_index = build_wedge_index(entry.graph)
         pool = WorkerPool(
             entry.graph,
             wedge_index=wedge_index,

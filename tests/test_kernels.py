@@ -19,6 +19,7 @@ hit-rate reads, the tolerant ``A1``/``A2`` weight classes, and
 from __future__ import annotations
 
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.core.estimation import EstimationOutcome
 from repro.datasets.synthetic import random_bipartite
 from repro.errors import ConfigurationError
 from repro.graph import degree_priority, expected_degree_priority
+from repro.adaptive.prescreen import prescreen_candidates
 from repro.kernels import (
     DEFAULT_BLOCK_SIZE,
     CandidateBlockKernel,
@@ -55,7 +57,10 @@ from repro.kernels import (
     resolve_block_size,
     trials_in_blocks,
     wedge_index_fits,
+    wedge_index_for,
 )
+from repro.kernels.wedge_block import INDEX_ID_DTYPE
+from repro.runtime.shm import INDEX_ARRAYS, attach_shared_graph, publish_graph
 from repro.runtime import (
     InjectedCrash,
     read_checkpoint,
@@ -327,7 +332,7 @@ class TestPerWorldFallback:
             raise AssertionError("built an index over the limit")
 
         monkeypatch.setattr(
-            "repro.core.frequency.build_wedge_index", refused
+            "repro.kernels.wedge_block.build_wedge_index", refused
         )
 
     @pytest.mark.parametrize("seed", range(6))
@@ -372,6 +377,126 @@ class TestPerWorldFallback:
         ]
         del oracle["stats"], per_world["stats"]
         assert per_world == oracle
+
+
+def _refuse_builds(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("rebuilt a cached wedge index")
+
+    monkeypatch.setattr(
+        "repro.kernels.wedge_block.build_wedge_index", refused
+    )
+
+
+class TestWedgeIndexCache:
+    """``wedge_index_for`` resolves each graph's wedge index once per
+    priority kind; every test starts from a fresh graph, so no index
+    cached by another test can bypass a patched limit or builder."""
+
+    def test_second_calls_never_build(self, graph, monkeypatch):
+        runs = (
+            lambda: mc_vp(graph, 60, rng=3),
+            lambda: ordering_sampling(graph, 60, rng=3),
+            lambda: ordering_listing_sampling(
+                graph, 40, n_prepare=20, estimator="karp-luby", rng=4,
+                adaptive=True,
+            ),
+        )
+        first = [result_to_dict(run()) for run in runs]
+        _refuse_builds(monkeypatch)
+        assert [result_to_dict(run()) for run in runs] == first
+
+    def test_priority_kinds_get_separate_entries(self, graph, monkeypatch):
+        by_degree = wedge_index_for(graph, "degree")
+        by_expected = wedge_index_for(graph, "expected-degree")
+        assert by_degree.priority_kind == "degree"
+        assert by_expected.priority_kind == "expected-degree"
+        assert sorted(graph.wedge_indexes) == ["degree", "expected-degree"]
+        _refuse_builds(monkeypatch)
+        assert wedge_index_for(graph, "degree") is by_degree
+        assert wedge_index_for(graph, "expected-degree") is by_expected
+        mc_vp(graph, 20, rng=1, priority_kind="expected-degree")
+
+    def test_oversized_graph_caches_none(self, graph, monkeypatch):
+        monkeypatch.setattr("repro.kernels.memory.INDEX_BYTES_LIMIT", 0)
+        _refuse_builds(monkeypatch)
+        assert wedge_index_for(graph) is None
+        assert graph.wedge_indexes == {"degree": None}
+        # The decision is cached: lifting the limit does not rebuild,
+        # and MC-VP still takes the per-world path.
+        monkeypatch.setattr(
+            "repro.kernels.memory.INDEX_BYTES_LIMIT", 2 * 1024 ** 3
+        )
+        observer = Observer()
+        result = mc_vp(graph, 50, rng=9, observer=observer)
+        assert result_to_dict(result) == result_to_dict(
+            mc_vp_oracle(graph, 50, rng=9)
+        )
+        counters = observer.metrics.to_dict()["counters"]
+        assert counters.get("kernel.trials_vectorized", 0.0) == 0.0
+
+    def test_racing_first_use_agrees(self, graph):
+        expected = result_to_dict(
+            mc_vp(build_graph(FIGURE_1_EDGES, name="figure-1"), 60, rng=5)
+        )
+        barrier = threading.Barrier(4)
+        indexes = [None] * 4
+        results = [None] * 4
+
+        def worker(slot):
+            barrier.wait(timeout=10)
+            indexes[slot] = wedge_index_for(graph)
+            results[slot] = result_to_dict(mc_vp(graph, 60, rng=5))
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(index is indexes[0] for index in indexes)
+        assert graph.wedge_indexes["degree"] is indexes[0]
+        assert results == [expected] * 4
+
+    def test_shm_round_trips_narrow_ids_and_seeds_the_graph(self, graph):
+        index = wedge_index_for(graph)
+        for name in (
+            "wedge_mid", "wedge_e1", "wedge_e2", "group_x", "group_z",
+            "scan_wedge", "scan_e1", "scan_e2",
+        ):
+            assert getattr(index, name).dtype == INDEX_ID_DTYPE, name
+        for name in ("group_start", "scan_start"):
+            assert getattr(index, name).dtype == np.int64, name
+        publication = publish_graph(graph, index=index)
+        attachment = attach_shared_graph(publication.handle)
+        try:
+            shared = attachment.index
+            for name in INDEX_ARRAYS:
+                ours, theirs = getattr(index, name), getattr(shared, name)
+                assert theirs.dtype == ours.dtype, name
+                assert np.array_equal(theirs, ours), name
+            assert shared.chunks == index.chunks
+            assert list(attachment.graph.wedge_indexes) == ["degree"]
+            assert attachment.graph.wedge_indexes["degree"] is shared
+        finally:
+            attachment.close()
+            publication.close()
+
+    def test_prescreen_skips_sampling_without_an_index(
+        self, graph, monkeypatch
+    ):
+        """An index that would not fit is never built for the
+        pre-screen; it keeps the exact candidate-prefix bound only, as
+        with sampling disabled."""
+        candidates = prepare_candidates(graph, 20, rng=3)
+        monkeypatch.setattr("repro.kernels.memory.INDEX_BYTES_LIMIT", 0)
+        _refuse_builds(monkeypatch)
+        report = prescreen_candidates(candidates, rng=1)
+        exact_only = prescreen_candidates(candidates, rng=1, n_samples=0)
+        assert report.n_samples == 0
+        assert report == exact_only
 
 
 class TestBlockedCheckpointResume:

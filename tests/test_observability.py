@@ -235,6 +235,32 @@ class TestPerMethodMetrics:
         assert budgets["count"] == len(result.estimates)
         assert budgets["sum"] == snapshot["counters"]["sampling.trials"]
 
+    def test_wedge_index_span_only_on_first_use(self, figure1):
+        """The graph's wedge index is built once: the first MC-VP run
+        records the build span, later MC-VP/OS runs reuse the index."""
+        paths = []
+        for run in (mc_vp, mc_vp, ordering_sampling):
+            observer = Observer()
+            run(figure1, 20, rng=1, observer=observer)
+            paths.append([s["path"] for s in observer.tracer.to_list()])
+        assert "sampling/wedge-index" in paths[0]
+        assert not any("wedge-index" in path for path in paths[1] + paths[2])
+
+    def test_adaptive_ols_kl_records_prescreen_span(self, figure1):
+        """The pre-screen runs in its own span; its first-use index build
+        nests inside it and is not repeated by the next query."""
+        paths = []
+        for _ in range(2):
+            observer = Observer()
+            ordering_listing_sampling(
+                figure1, 40, n_prepare=20, estimator="karp-luby", rng=4,
+                adaptive=True, observer=observer,
+            )
+            paths.append([s["path"] for s in observer.tracer.to_list()])
+        assert "prescreen" in paths[0] and "prescreen" in paths[1]
+        assert "prescreen/wedge-index" in paths[0]
+        assert not any("wedge-index" in path for path in paths[1])
+
     def test_find_mpmb_forwards_observer(self, figure1):
         observer = Observer()
         find_mpmb(figure1, method="os", n_trials=20, rng=0,

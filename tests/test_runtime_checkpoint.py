@@ -233,6 +233,31 @@ class TestCheckpointValidation:
                 runtime=_resume_policy(path),
             )
 
+    def test_ols_block_checkpoint_pins_trial_budget(self, graph, tmp_path):
+        """Blocked OLS pins its trial budget like MC-VP/OS: a 300-trial
+        final snapshot holds as many 256-trial blocks as a 400-trial
+        run, and resuming it at 400 used to normalise the 300-trial
+        counts over 400 trials (P=0.1025 against a clean 0.14)."""
+        path = tmp_path / "ols.json"
+        knobs = dict(
+            n_prepare=20, estimator="optimized", rng=1, block_size=256
+        )
+        ordering_listing_sampling(
+            graph, 300, runtime=RuntimePolicy(checkpoint_path=path),
+            **knobs,
+        )
+        with pytest.raises(CheckpointError, match="target_trials"):
+            ordering_listing_sampling(
+                graph, 400, runtime=_resume_policy(path), **knobs
+            )
+        document = read_checkpoint(path)
+        del document["state"]["target_trials"]
+        write_checkpoint(path, document)
+        with pytest.raises(CheckpointError, match="target_trials"):
+            ordering_listing_sampling(
+                graph, 300, runtime=_resume_policy(path), **knobs
+            )
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json", encoding="utf-8")

@@ -189,7 +189,7 @@ class TestDeterminism:
             raise AssertionError("worker rebuilt the wedge index")
 
         monkeypatch.setattr(
-            "repro.core.frequency.build_wedge_index", rebuilt
+            "repro.kernels.wedge_block.build_wedge_index", rebuilt
         )
         pooled = run_parallel_trials(
             graph, 40, 2, method="os", rng=9, mp_context="fork",
@@ -222,9 +222,6 @@ class TestDeterminism:
 
         monkeypatch.setattr(
             "repro.kernels.wedge_block.build_wedge_index", refused
-        )
-        monkeypatch.setattr(
-            "repro.core.frequency.build_wedge_index", refused
         )
         pooled = run_parallel_trials(
             graph, 40, 2, method="os", rng=9, mp_context="fork",

@@ -372,6 +372,39 @@ class TestBroker:
         assert not response.cache_hit
         assert response.graph_version == 2
 
+    def test_wedge_index_built_once_per_graph_version(self):
+        """The registry does not build the index at load; the first
+        MC-VP/OS request does, later requests reuse it, and a reload
+        gives the new graph object a fresh build."""
+        registry = GraphRegistry(["abide"])
+        registry.load_all()
+        observer = Observer()
+        broker = QueryBroker(registry, observer=observer)
+        graph = registry.get("abide").graph
+        assert graph.wedge_indexes == {}
+
+        def builds():
+            return sum(
+                span["name"] == "wedge-index"
+                for span in observer.tracer.to_list()
+            )
+
+        for method in ("os", "mc-vp"):
+            response = broker.handle(
+                _request(method=method, use_cache=False)
+            )
+            assert response.status == "ok"
+        assert builds() == 1
+        assert graph.wedge_indexes["degree"] is not None
+        broker.reload("abide")
+        fresh = registry.get("abide").graph
+        assert fresh is not graph
+        assert fresh.wedge_indexes == {}
+        response = broker.handle(_request(use_cache=False))
+        assert response.graph_version == 2
+        assert builds() == 2
+        assert fresh.wedge_indexes["degree"] is not None
+
     def test_unknown_dataset_fails_explicitly(self, broker):
         response = broker.handle(_request(dataset="movielens"))
         assert response.status == "failed"
